@@ -142,13 +142,21 @@ def check_star_inequality(n: int) -> bool:
     which reduces to (N+j)(N+j-1)/2 + 1 > j(n-2) - j(j-1)/2.  Always true;
     exposed so tests can confirm it numerically over a large range of n.
     """
+    return _star_margin(n) > 0
+
+
+def _star_margin(n: int) -> int:
+    """Smallest value over j = 1..N of the reduced star inequality's LHS - RHS.
+
+    The difference is j^2 + (N-n+1)j + N(N-1)/2 + 1, a convex quadratic in j,
+    so its minimum over the columns lies at an endpoint or next to the vertex.
+    """
     if n < 2:
         raise ValueError("order must be at least 2, got %d" % n)
     mod = half_cubic_modulus(n)
-    for j in range(1, mod + 1):
-        if (mod + j) * (mod + j - 1) // 2 + 1 <= j * (n - 2) - j * (j - 1) // 2:
-            return False
-    return True
+    vertex = (n - 1 - mod) // 2
+    columns = {1, mod} | {j for j in (vertex, vertex + 1) if 1 <= j <= mod}
+    return min(j * j + (mod - n + 1) * j + mod * (mod - 1) // 2 + 1 for j in columns)
 
 
 def quadratic_sequence(params: QuadraticFamilyParams, n: int) -> list:

@@ -1,24 +1,39 @@
 """Exact optimal ruler search and the construction benchmark table.
 
-Depth-first branch-and-bound: marks are placed in increasing order, the set
-of used differences lives in one big int used as a bitset, and the incumbent
-length starts at the half-cubic construction, which is always feasible.
+Depth-first branch-and-bound in the style of the distributed.net OGR search.
+Marks are placed left to right, and three Python ints serve as bitmaps:
+
+- ``dist``: every difference used so far;
+- ``lst``: the distances from the newest mark back to each earlier mark;
+- ``comp``: the gaps that would repeat a difference if the next mark were
+  placed that far beyond the newest one.
+
+Placing the next mark at gap g updates them as ``lst' = (lst | 1) << g``,
+``dist' = dist | lst'`` and ``comp' = (comp >> g) | dist'``.  The terms this
+leaves out of ``comp'`` are differences between earlier marks, which are
+already in ``dist``, so ``comp'`` is exact and the kernel visits only
+admissible gaps, lowest first.
+
+The span bounds use G(k), the optimal length of a k-mark ruler, which every
+search works out for k < n by solving the smaller orders with the same
+kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).  The
+incumbent starts at the half-cubic construction, which is always feasible.
 Mirror symmetry is broken by requiring first gap <= last gap; the reported
 ruler is the lexicographically smallest mark sequence among co-minimal ones.
 """
 
 from __future__ import annotations
 
-import threading
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import construct_half_cubic, cubic_bound, half_cubic_bound, shifted_cubic_bound
 
-_TIME_CHECK_MASK = (1 << 16) - 1  # cooperative deadline check cadence, in nodes
+_TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
 
 
 class InfeasibleBoundError(Exception):
@@ -60,156 +75,185 @@ def _canonical(marks: Tuple[int, ...]) -> Tuple[int, ...]:
     return min(marks, mirror)
 
 
-class _State:
-    """Shared incumbent for one search; workers only ever shrink the limit."""
+def _place(lst: int, dist: int, comp: int, gap: int) -> Tuple[int, int, int]:
+    """Bitmaps after putting the next mark ``gap`` beyond the newest one."""
+    lst = (lst | 1) << gap
+    dist |= lst
+    return lst, dist, (comp >> gap) | dist
 
-    def __init__(self, limit: int, deadline: Optional[float]):
-        self.limit = limit  # max allowed length for new solutions
-        self.best_marks: Optional[Tuple[int, ...]] = None
+
+def _worker_count(parallelism: int) -> int:
+    """Threads for a fan-out: the requested count, at most one per core."""
+    return max(1, min(parallelism, os.cpu_count() or 1))
+
+
+class _Timeout(Exception):
+    """Unwinds the kernel when the deadline has passed."""
+
+
+class _Search:
+    """Branch-and-bound over the rulers of one order, or one fan-out task of it.
+
+    ``limit`` is the largest length still worth finding; a ruler found at
+    length L lowers it to L - 1, so among rulers of one length the first
+    found, the lexicographically smallest, is kept.  Fan-out task ``slot``
+    explores one first gap, writes its best length to ``shared[slot]`` and
+    reads the other slots at the deadline-check cadence.  A length L from an
+    earlier slot (a smaller first gap, so lexicographically smaller rulers)
+    caps the limit at L - 1, one from a later slot at L, so the task holding
+    the lex-min optimum still finds it.  One writer per slot needs no lock.
+    """
+
+    def __init__(self, n: int, spans: Sequence[int], limit: int, deadline: Optional[float],
+                 shared: Optional[List[int]] = None, slot: int = 0):
+        self.n = n
+        self.spans = spans  # spans[k] = G(k) for k < n
+        # Mark d lies at or beyond G(d+1), with G(n-d) of span still to come.
+        self.heads = [spans[d + 1] for d in range(n - 1)] + [0]
+        self.tails = [0] + [spans[n - d] for d in range(1, n)]
+        self.limit = limit
         self.deadline = deadline
-        self.timed_out = False
-        self.found_first = False
+        self.shared = shared
+        self.slot = slot
+        self.first_gap = 0
+        self.best: Optional[Tuple[int, ...]] = None
         self.nodes = 0
-        self.lock = threading.Lock()
+        self.timed_out = False
 
-    def record(self, marks: List[int], stop_first: bool) -> None:
-        canon = _canonical(tuple(marks))
-        with self.lock:
-            if stop_first:
-                if not self.found_first:
-                    self.best_marks = canon
-                    self.found_first = True
+    def first_gaps(self) -> range:
+        """Positions for mark 1, all admissible, under the current limit.
+
+        The first gap is at most the last gap, and marks 1..n-2 span at
+        least G(n-2), so twice the first gap fits in limit - G(n-2).  At
+        n = 2 the incumbent (0, 1) always leaves limit 0 and no gap.
+        """
+        n, spans = self.n, self.spans
+        return range(1, min(self.limit - spans[n - 1], (self.limit - spans[n - 2]) // 2) + 1)
+
+    def run(self, gaps: Sequence[int]) -> "_Search":
+        """Explore every ruler whose first gap is in ``gaps``, in order."""
+        try:
+            self._tick()
+            for gap in gaps:
+                if gap not in self.first_gaps():
+                    break
+                self.first_gap = gap
+                self._dfs(1, 0, 0, 0, 0, gap)
+        except _Timeout:
+            self.timed_out = True
+        return self
+
+    def _tick(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
+        if self.shared is not None:
+            earlier = [length - 1 for length in self.shared[:self.slot]]
+            self.limit = min([self.limit] + earlier + self.shared[self.slot + 1:])
+
+    def _dfs(self, d: int, pos: int, lst: int, dist: int, comp: int, gap: int) -> None:
+        """Place mark d at ``gap`` beyond ``pos``, then every admissible mark d + 1."""
+        self.nodes += 1
+        if not self.nodes & _TIME_CHECK_MASK:
+            self._tick()
+        pos += gap
+        lst, dist, comp = _place(lst, dist, comp, gap)
+        if d == self.n - 1:
+            self._record(pos, lst)
+            return
+        d += 1
+        tail = self.tails[d]
+        lo = self.heads[d] - pos
+        if d == self.n - 1:
+            lo = max(lo, self.first_gap)  # symmetry: first gap <= last gap
+        lo = max(lo, 1)
+        hi = self.limit - tail - pos
+        if hi < lo:
+            return
+        free = ~comp & ((2 << hi) - (1 << lo))
+        while free:
+            bit = free & -free
+            gap = bit.bit_length() - 1
+            if gap > self.limit - tail - pos:
                 return
-            if canon[-1] <= self.limit:
-                self.best_marks = canon
-                self.limit = canon[-1] - 1
+            self._dfs(d, pos, lst, dist, comp, gap)
+            free ^= bit
+
+    def _record(self, span: int, lst: int) -> None:
+        marks = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
+        self.best = _canonical(marks)
+        self.limit = span - 1
+        if self.shared is not None:
+            self.shared[self.slot] = span
 
 
-def _dfs(n: int, marks: List[int], mask: int, state: _State, stop_first: bool) -> None:
-    """Extend a partial ruler depth-first, trying candidate positions in order."""
-    k = n - len(marks)  # marks still to place, >= 1
-    last = marks[-1]
-    depth = len(marks)
-    first_gap = marks[1] - marks[0] if depth > 1 else 0
-    tail = (k - 1) * k // 2  # min span needed by the marks after this one
-    p = last + 1
-    if k == 1 and first_gap:
-        p = max(p, last + first_gap)  # symmetry: first gap <= last gap
-    while True:
-        limit = state.limit
-        hi = limit - tail
-        if depth == 1 and n > 2:
-            hi = min(hi, limit // 2)  # x_2 is the first gap, bounded by the last
-        if p > hi:
-            return
-        state.nodes += 1
-        if state.deadline is not None and (state.nodes & _TIME_CHECK_MASK) == 0:
-            if time.monotonic() > state.deadline:
-                state.timed_out = True
-        if state.timed_out or (stop_first and state.found_first):
-            return
-        add = 0
-        ok = True
-        for m in marks:
-            bit = 1 << (p - m)
-            if (mask | add) & bit:
-                ok = False
-                break
-            add |= bit
-        if ok:
-            marks.append(p)
-            if k == 1:
-                state.record(marks, stop_first)
-            else:
-                _dfs(n, marks, mask | add, state, stop_first)
-            marks.pop()
-        p += 1
+def _solve(n: int, spans: Sequence[int], limit: int, deadline: Optional[float],
+           workers: int) -> Tuple[Optional[Tuple[int, ...]], int, bool]:
+    """Best ruler of order n no longer than limit, nodes visited, timed out.
 
-
-def _prefixes(n: int, state: _State) -> List[Tuple[List[int], int]]:
-    """First-two-gap prefixes [0, x2, x3] for parallel fan-out."""
-    out = []
-    limit = state.limit
-    tail = (n - 3) * (n - 2) // 2
-    for x2 in range(1, limit // 2 + 1):
-        for x3 in range(x2 + 1, limit - tail + 1):
-            d1, d2, d3 = x2, x3, x3 - x2
-            if d1 == d3 or d2 == d3:  # d1 < d2 always
-                continue
-            mask = (1 << d1) | (1 << d2) | (1 << d3)
-            out.append(([0, x2, x3], mask))
-    return out
-
-
-def _run_phase(n: int, state: _State, jobs: int, stop_first: bool) -> None:
-    if jobs <= 1 or n < 4 or stop_first:
-        _dfs(n, [0], 0, state, stop_first)
-        return
-    prefixes = _prefixes(n, state)
-    state.nodes += len(prefixes)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_dfs, n, marks, mask, state, False) for marks, mask in prefixes
-        ]
-        for fut in futures:
-            fut.result()
+    With several workers each admissible first gap is one thread-pool task;
+    the merge by (length, marks) gives the same ruler as a sequential run.
+    """
+    root = _Search(n, spans, limit, deadline)
+    if workers <= 1:
+        tasks = [root.run(root.first_gaps())]
+    else:
+        gaps = root.first_gaps()
+        shared = [limit + 1] * len(gaps)
+        tasks = [_Search(n, spans, limit, deadline, shared, slot) for slot in range(len(gaps))]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(task.run, [gap]) for task, gap in zip(tasks, gaps)]
+            for future in futures:
+                future.result()
+    found = [task.best for task in tasks if task.best is not None]
+    best = min(found, key=lambda marks: (marks[-1], marks)) if found else None
+    return best, sum(task.nodes for task in tasks), any(task.timed_out for task in tasks)
 
 
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    Branch-and-bound starts from the half-cubic construction (or the supplied
-    bound).  If the search completes, the result is optimal and the ruler is
-    the lexicographically smallest among co-minimal ones; on timeout the best
-    incumbent so far is returned with optimal=False.
+    The search first proves G(k) for k = 3..n-1 with the same kernel, then
+    runs branch-and-bound from the half-cubic construction (or the supplied
+    bound).  If it completes, the result is optimal and the ruler is the
+    lexicographically smallest among co-minimal ones; if the time limit
+    expires, in the sub-searches or the main one, the best incumbent so far
+    is returned with optimal=False.
     """
     n = config.order
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    incumbent: Optional[Tuple[int, ...]] = None
-    if config.initial_upper_bound is None:
-        incumbent = construct_half_cubic(n).marks
-        limit = incumbent[-1] - 1
-    else:
+    incumbent: Optional[Tuple[int, ...]] = construct_half_cubic(n).marks
+    limit = incumbent[-1] - 1
+    if config.initial_upper_bound is not None and incumbent[-1] > config.initial_upper_bound:
+        incumbent = None
         limit = config.initial_upper_bound
-        feasible = construct_half_cubic(n).marks
-        if feasible[-1] <= limit:
-            incumbent = feasible
-            limit = incumbent[-1] - 1
 
-    state = _State(limit=limit, deadline=deadline)
-    _run_phase(n, state, config.parallelism, stop_first=False)
-    nodes = state.nodes
+    spans = [0, 0, 1]  # G(0), G(1), G(2)
+    nodes = 0
+    timed_out = False
+    for k in range(3, n):
+        found, k_nodes, timed_out = _solve(k, spans, half_cubic_bound(k) - 1, deadline, 1)
+        nodes += k_nodes
+        if timed_out:
+            break
+        spans.append(found[-1] if found else half_cubic_bound(k))
 
-    best = state.best_marks if state.best_marks is not None else incumbent
+    best = incumbent
+    if not timed_out:
+        found, k_nodes, timed_out = _solve(n, spans, limit, deadline, _worker_count(config.parallelism))
+        nodes += k_nodes
+        best = found or incumbent
+
     if best is None:
-        if state.timed_out:
+        if timed_out:
             raise TimeoutError("time limit expired before any ruler was found")
         raise InfeasibleBoundError(
             "no ruler of order %d fits under length %d" % (n, config.initial_upper_bound)
         )
-    if state.timed_out:
-        elapsed = time.monotonic() - start
-        return SearchResult(
-            ruler=Ruler(best), length=best[-1], optimal=False,
-            nodes_explored=nodes, elapsed=elapsed,
-        )
-
-    # The sequential pass already visits canonical rulers in lexicographic
-    # order, so its final incumbent is the lex-min optimum.  After a parallel
-    # pass, rerun to first solution at the proven length to restore that.
-    if config.parallelism > 1 and state.best_marks is not None:
-        refine = _State(limit=best[-1], deadline=deadline)
-        _run_phase(n, refine, 1, stop_first=True)
-        nodes += refine.nodes
-        if refine.best_marks is not None:
-            best = min(best, refine.best_marks)
-
-    elapsed = time.monotonic() - start
     return SearchResult(
-        ruler=Ruler(best), length=best[-1], optimal=not state.timed_out,
-        nodes_explored=nodes, elapsed=elapsed,
+        ruler=Ruler(best), length=best[-1], optimal=not timed_out,
+        nodes_explored=nodes, elapsed=time.monotonic() - start,
     )
 
 

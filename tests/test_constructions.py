@@ -19,6 +19,7 @@ from golomb import (
     shifted_cubic_bound,
     verify_graceful,
 )
+from golomb.constructions import _star_margin
 
 
 class TestPowersOfTwo:
@@ -150,6 +151,18 @@ class TestStarInequality:
 
     def test_wide_range(self):
         assert all(check_star_inequality(n) for n in range(2, 1001))
+
+    def test_closed_form_matches_column_loop(self):
+        # the column-by-column loop the closed form replaced, as the reference
+        def loop_margin(n):
+            mod = half_cubic_modulus(n)
+            return min(
+                (mod + j) * (mod + j - 1) // 2 + 1 - (j * (n - 2) - j * (j - 1) // 2)
+                for j in range(1, mod + 1)
+            )
+
+        for n in range(2, 2001):
+            assert _star_margin(n) == loop_margin(n), n
 
     def test_matches_actual_block_separation(self):
         # column j's maximum must sit below column N+j's minimum

@@ -1,6 +1,9 @@
+import sys
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from golomb import (
     InfeasibleBoundError,
@@ -9,7 +12,10 @@ from golomb import (
     half_cubic_bound,
     lower_bound,
     search_optimal,
+    verify_graceful,
 )
+from golomb import search
+from golomb.search import _Search, _place, _solve, _worker_count
 
 
 def naive_optimal(n):
@@ -28,6 +34,7 @@ def naive_optimal(n):
 
 
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
+SPANS_BELOW_8 = [0, 0] + [KNOWN_OPTIMA[k] for k in range(2, 8)]  # G(0)..G(7)
 
 
 class TestSearchOptimal:
@@ -82,6 +89,20 @@ class TestSearchOptimal:
         with pytest.raises(InfeasibleBoundError):
             search_optimal(SearchConfig(order=5, initial_upper_bound=10))
 
+    def test_supplied_bound_exact_n9(self):
+        result = search_optimal(SearchConfig(order=9, initial_upper_bound=44))
+        assert result.optimal
+        assert result.ruler.marks == (0, 1, 5, 12, 25, 27, 35, 41, 44)
+
+    def test_infeasible_bound_n9(self):
+        with pytest.raises(InfeasibleBoundError):
+            search_optimal(SearchConfig(order=9, initial_upper_bound=43))
+
+    def test_proves_n10(self):
+        result = search_optimal(SearchConfig(order=10))
+        assert result.optimal
+        assert result.ruler.marks == (0, 1, 6, 10, 23, 26, 34, 41, 53, 55)
+
     def test_bound_below_lower_bound_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig(order=5, initial_upper_bound=9)
@@ -98,6 +119,47 @@ class TestSearchOptimal:
 
         assert verify_graceful(result.ruler).graceful
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_reaches_sub_searches(self, jobs):
+        # proving G(10) takes about a second on a 2-core host, so the limit
+        # expires in the sub-searches and the half-cubic incumbent comes back
+        start = time.monotonic()
+        result = search_optimal(SearchConfig(order=11, time_limit=0.05, parallelism=jobs))
+        assert time.monotonic() - start < 1.0
+        assert not result.optimal
+        assert verify_graceful(result.ruler).graceful
+        assert len(result.ruler.marks) == 11
+
+    def test_timed_out_fan_out_reports_timeout(self):
+        best, _, timed_out = _solve(8, SPANS_BELOW_8, 50, time.monotonic() - 1.0, workers=2)
+        assert timed_out
+        assert best is None
+
+    def test_fan_out_under_thread_switching(self):
+        # more workers than cores, switching threads as often as possible
+        sequential = _solve(8, SPANS_BELOW_8, half_cubic_bound(8) - 1, None, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fanned = _solve(8, SPANS_BELOW_8, half_cubic_bound(8) - 1, time.monotonic() + 60, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert fanned[0] == sequential[0] == (0, 1, 4, 9, 15, 22, 32, 34)
+        assert not fanned[2]
+
+    def test_fan_out_task_reads_bounds_by_slot_order(self):
+        # task slots follow first gaps; only a later task's length admits ties
+        later_found_34 = _Search(8, SPANS_BELOW_8, 40, None, [41, 34], slot=0).run([1])
+        assert later_found_34.best == (0, 1, 4, 9, 15, 22, 32, 34)
+        earlier_found_34 = _Search(8, SPANS_BELOW_8, 40, None, [34, 41], slot=1).run([1])
+        assert earlier_found_34.best is None
+
+    def test_worker_count_capped_at_cores(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        assert [_worker_count(j) for j in (1, 2, 8, 1000)] == [1, 2, 2, 2]
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert _worker_count(8) == 1
+
     @pytest.mark.parametrize("jobs", [2, 4, 8])
     def test_parallel_matches_sequential(self, jobs):
         seq = search_optimal(SearchConfig(order=7))
@@ -105,6 +167,28 @@ class TestSearchOptimal:
         assert par.optimal
         assert par.length == seq.length
         assert par.ruler.marks == seq.ruler.marks
+
+
+def is_golomb(marks):
+    diffs = [b - a for i, a in enumerate(marks) for b in marks[i + 1 :]]
+    return len(diffs) == len(set(diffs))
+
+
+class TestPlacementBitmaps:
+    @given(st.lists(st.integers(min_value=1, max_value=40), max_size=10))
+    def test_comp_is_exactly_the_inadmissible_gaps(self, gaps):
+        marks, lst, dist, comp = [0], 0, 0, 0
+        for gap in gaps:
+            if not is_golomb(marks + [marks[-1] + gap]):
+                continue  # keep the prefix a Golomb ruler
+            lst, dist, comp = _place(lst, dist, comp, gap)
+            marks.append(marks[-1] + gap)
+        last = marks[-1]
+        diffs = {b - a for i, a in enumerate(marks) for b in marks[i + 1 :]}
+        assert lst == sum(1 << (last - m) for m in marks[:-1])
+        assert dist == sum(1 << d for d in diffs)
+        for g in range(1, 2 * last + 42):
+            assert bool(comp >> g & 1) == (not is_golomb(marks + [last + g])), g
 
 
 class TestCompareConstructions:
