@@ -33,6 +33,7 @@ from .constructions import (
     find_quadratic_collision,
     half_cubic_bound,
     half_cubic_modulus,
+    pow2_bound,
     quadratic_sequence,
     shifted_cubic_bound,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "half_cubic_bound",
     "half_cubic_modulus",
     "lower_bound",
+    "pow2_bound",
     "quadratic_sequence",
     "search_optimal",
     "shifted_cubic_bound",

@@ -41,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
 SEARCH_MAX_ORDER = 15
+COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
 
 
 class UsageError(Exception):
@@ -299,6 +300,11 @@ def cmd_bench(args) -> int:
 def cmd_counterexample(args) -> int:
     params = QuadraticFamilyParams(a=args.a, b=args.b, c=args.c)
     witness = find_quadratic_collision(params)
+    if witness.n > COUNTEREXAMPLE_MAX_TERMS:
+        raise UsageError(
+            "the collision needs %d sequence terms, above the cap of %d terms"
+            % (witness.n, COUNTEREXAMPLE_MAX_TERMS)
+        )
     seq = quadratic_sequence(params, witness.n)
     if args.format == "json":
         _emit(
@@ -371,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, choices=("text", "json", "csv"))
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("counterexample", help="duplicated difference forced by any quadratic family")
+    p = sub.add_parser(
+        "counterexample",
+        help="duplicated difference forced by any quadratic family "
+        "(prints the sequence, at most %d terms)" % COUNTEREXAMPLE_MAX_TERMS,
+    )
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)

@@ -10,6 +10,7 @@ produce a ruler with all differences distinct once the order is large enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import Ruler, _check_u64
 
@@ -63,13 +64,23 @@ class CollisionWitness:
     value: int
 
 
+POW2_MAX_ORDER = 63  # 2^(n-1) - 1 fits in 64 bits up to here
+
+
+def pow2_bound(n: int) -> Optional[int]:
+    """Length 2^(n-1) - 1 of the powers-of-two ruler, None above POW2_MAX_ORDER."""
+    return 2 ** (n - 1) - 1 if n <= POW2_MAX_ORDER else None
+
+
 def construct_powers_of_two(n: int) -> Ruler:
     """Exponential ruler x_i = 2^(i-1) - 1; always graceful, huge length."""
     if n < 1:
         raise ValueError("order must be positive, got %d" % n)
-    if n > 63:
-        raise OverflowError("order-too-large: 2^(n-1) - 1 exceeds 64 bits for n > 63")
-    return Ruler(tuple(2 ** (i - 1) - 1 for i in range(1, n + 1)))
+    if pow2_bound(n) is None:
+        raise OverflowError(
+            "order-too-large: 2^(n-1) - 1 exceeds 64 bits for n > %d" % POW2_MAX_ORDER
+        )
+    return Ruler(tuple(pow2_bound(i) for i in range(1, n + 1)))
 
 
 def construct_triangular(params: TriangularParams) -> Ruler:
@@ -175,8 +186,9 @@ def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
     """Produce the order and triangle positions where the family repeats a difference.
 
     At n = 2a^2 + b^2 + 2ab + 2a + 3b + 2 + c the entries at (n-1, b+1) and
-    (2a+b+1, 2a+b+1) coincide.  Both entries are recomputed directly from the
-    sequence before returning; a mismatch would be an implementation bug.
+    (2a+b+1, 2a+b+1) coincide.  Both entries are recomputed from the four
+    terms they involve before returning; a mismatch would be an
+    implementation bug.  No other term of the sequence is evaluated.
     """
     a, b, c = params.a, params.b, params.c
     n = 2 * a * a + b * b + 2 * a * b + 2 * a + 3 * b + 2 + c
@@ -187,10 +199,14 @@ def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
             raise RuntimeError(
                 "internal-inconsistency: position (%d, %d) invalid at n=%d" % (i, j, n)
             )
-    xs = quadratic_sequence(params, n)
-    # t_{i,j} = x_{i+1} - x_{i+1-j}; xs is 0-based so that is xs[i] - xs[i-j]
-    t1 = xs[i1] - xs[i1 - j1]
-    t2 = xs[i2] - xs[i2 - j2]
+
+    def x(m: int) -> int:
+        """Term m of quadratic_sequence(params, n), 0-based."""
+        return a * m * m + b * n * m + c * m
+
+    # t_{i,j} = x_{i+1} - x_{i+1-j}, which is x(i) - x(i - j) with 0-based terms
+    t1 = x(i1) - x(i1 - j1)
+    t2 = x(i2) - x(i2 - j2)
     if t1 != t2:
         raise RuntimeError(
             "internal-inconsistency: entries differ (%d vs %d) at n=%d" % (t1, t2, n)

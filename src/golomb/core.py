@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -125,28 +127,27 @@ def verify_graceful(ruler: Ruler) -> GracefulnessReport:
     """Check that all pairwise differences of a ruler are distinct.
 
     On failure the witness is the lexicographically first duplicate by
-    (value, i1, j1, i2, j2), so output is deterministic.
+    (value, i1, j1, i2, j2), so output is deterministic: the smallest
+    repeated value at its first two positions in row-major order.
     """
     if ruler.order == 1:
         return GracefulnessReport(graceful=True)
-    tri = build_difference_triangle(ruler)
-    positions = {}  # value -> list of (i, j) in row-major order
-    for i in range(1, ruler.order):
-        for j in range(1, i + 1):
-            positions.setdefault(tri.entry(i, j), []).append((i, j))
-    best = None
-    for value, where in positions.items():
-        if len(where) < 2:
-            continue
-        cand = (value, where[0], where[1])
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+    entries = build_difference_triangle(ruler).entries
+    if len(set(entries)) == len(entries):
         return GracefulnessReport(graceful=True)
-    value, first, second = best
+    value = min(v for v, count in Counter(entries).items() if count > 1)
+    first = entries.index(value)
+    second = entries.index(value, first + 1)
     return GracefulnessReport(
-        graceful=False, witness=CollisionSite(first=first, second=second, value=value)
+        graceful=False,
+        witness=CollisionSite(first=_cell(first), second=_cell(second), value=value),
     )
+
+
+def _cell(k: int) -> Tuple[int, int]:
+    """Triangle position (i, j) of flat index k: row i starts at i(i-1)/2."""
+    i = (1 + math.isqrt(8 * k + 1)) // 2
+    return i, k - i * (i - 1) // 2 + 1
 
 
 def decompose_residue(value: int, modulus: int) -> ResidueForm:

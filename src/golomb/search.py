@@ -16,10 +16,18 @@ admissible gaps, lowest first.
 
 The span bounds use G(k), the optimal length of a k-mark ruler, which every
 search works out for k < n by solving the smaller orders with the same
-kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).  The
-incumbent starts at the half-cubic construction, which is always feasible.
-Mirror symmetry is broken by requiring first gap <= last gap; the reported
-ruler is the lexicographically smallest mark sequence among co-minimal ones.
+kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).
+The marks after mark d are also bounded by S_k(dist), the sum of the k
+smallest positive integers missing from ``dist``: the k = n-1-d gaps after
+mark d are distinct differences that the marks before it have not used, so
+they span at least S_k, and mark d lies at most at limit - max(G(k+1), S_k).
+S_k is summed from the k lowest zero bits of ``dist | 1``.  G(k) prunes near
+the root and S_k deep in the tree, where most small differences are taken.
+
+The incumbent starts at the half-cubic construction, which is always
+feasible.  Mirror symmetry is broken by requiring first gap <= last gap; the
+reported ruler is the lexicographically smallest mark sequence among
+co-minimal ones.
 """
 
 from __future__ import annotations
@@ -31,7 +39,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
-from .constructions import construct_half_cubic, cubic_bound, half_cubic_bound, shifted_cubic_bound
+from .constructions import (
+    construct_half_cubic,
+    cubic_bound,
+    half_cubic_bound,
+    pow2_bound,
+    shifted_cubic_bound,
+)
 
 _TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
 
@@ -73,13 +87,6 @@ def _canonical(marks: Tuple[int, ...]) -> Tuple[int, ...]:
     span = marks[-1]
     mirror = tuple(span - m for m in reversed(marks))
     return min(marks, mirror)
-
-
-def _place(lst: int, dist: int, comp: int, gap: int) -> Tuple[int, int, int]:
-    """Bitmaps after putting the next mark ``gap`` beyond the newest one."""
-    lst = (lst | 1) << gap
-    dist |= lst
-    return lst, dist, (comp >> gap) | dist
 
 
 def _worker_count(parallelism: int) -> int:
@@ -156,16 +163,29 @@ class _Search:
         if not self.nodes & _TIME_CHECK_MASK:
             self._tick()
         pos += gap
-        lst, dist, comp = _place(lst, dist, comp, gap)
-        if d == self.n - 1:
+        lst = (lst | 1) << gap
+        last = self.n - 1
+        if d == last:
             self._record(pos, lst)
             return
+        dist |= lst
+        comp = (comp >> gap) | dist
         d += 1
+        # span still needed after mark d: max(G(k+1), S_k(dist)), k = last - d
         tail = self.tails[d]
+        free = ~(dist | 1)
+        missing = 0
+        for _ in range(last - d):
+            bit = free & -free
+            free ^= bit
+            missing += bit.bit_length() - 1
+        if missing > tail:
+            tail = missing
         lo = self.heads[d] - pos
-        if d == self.n - 1:
-            lo = max(lo, self.first_gap)  # symmetry: first gap <= last gap
-        lo = max(lo, 1)
+        if d == last and lo < self.first_gap:
+            lo = self.first_gap  # symmetry: first gap <= last gap
+        if lo < 1:
+            lo = 1
         hi = self.limit - tail - pos
         if hi < lo:
             return
@@ -294,7 +314,7 @@ def compare_constructions(
                 n=n,
                 lower_bound=lower_bound(n),
                 optimal=optimal,
-                pow2=2 ** (n - 1) - 1 if n <= 63 else None,
+                pow2=pow2_bound(n),
                 cubic=cubic_bound(n),
                 cubic_shifted=shifted_cubic_bound(n),
                 half_cubic=half_cubic_bound(n),

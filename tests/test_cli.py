@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from golomb import cli
 from golomb.cli import main
 
 
@@ -239,6 +240,18 @@ class TestCounterexample:
         code, _, err = run(capsys, "counterexample", "--a", a, "--b", b, "--c", c)
         assert code == 2
         assert needle in err
+
+    def test_order_above_the_cap_is_refused_before_building(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("sequence built above the cap")
+
+        monkeypatch.setattr(cli, "quadratic_sequence", build)
+        # a = b = 1 gives n = 12 + c, so this is one term past the cap
+        for a, b, c in (("1", "1", str(cli.COUNTEREXAMPLE_MAX_TERMS - 11)), ("100000", "100000", "0")):
+            code, out, err = run(capsys, "counterexample", "--a", a, "--b", b, "--c", c)
+            assert code == 2
+            assert out == ""
+            assert "cap of 1000000 terms" in err
 
 
 def test_no_command_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from golomb import (
     QuadraticFamilyParams,
@@ -15,6 +16,7 @@ from golomb import (
     find_quadratic_collision,
     half_cubic_bound,
     half_cubic_modulus,
+    pow2_bound,
     quadratic_sequence,
     shifted_cubic_bound,
     verify_graceful,
@@ -37,6 +39,11 @@ class TestPowersOfTwo:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             construct_powers_of_two(0)
+
+    def test_bound_is_the_length_up_to_the_cap(self):
+        for n in range(1, 64):
+            assert pow2_bound(n) == construct_powers_of_two(n).length()
+        assert pow2_bound(64) is None
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_graceful(self, n):
@@ -228,3 +235,12 @@ class TestQuadraticFamily:
                     assert (w.i1, w.j1) != (w.i2, w.j2)
                     assert xs[w.i1] - xs[w.i1 - w.j1] == w.value
                     assert xs[w.i2] - xs[w.i2 - w.j2] == w.value
+
+    @given(st.integers(-20, 20), st.integers(1, 20), st.integers(0, 60))
+    def test_closed_form_matches_the_sequence(self, a, b, c_offset):
+        assume(a != 0 and 2 * a + b > 0)
+        params = QuadraticFamilyParams(a=a, b=b, c=-a - 2 * b + 1 + c_offset)
+        w = find_quadratic_collision(params)
+        xs = quadratic_sequence(params, w.n)
+        assert len(xs) == w.n
+        assert xs[w.i1] - xs[w.i1 - w.j1] == w.value == xs[w.i2] - xs[w.i2 - w.j2]

@@ -8,6 +8,7 @@ from golomb import (
     lower_bound,
     verify_graceful,
 )
+from golomb.core import _cell
 
 
 def ruler_marks(max_order=12, max_mark=200):
@@ -94,6 +95,16 @@ def brute_force_graceful(marks):
     return len(diffs) == len(set(diffs))
 
 
+def first_duplicate_by_scan(marks):
+    """Reference witness: the least (value, i1, j1, i2, j2) over every cell pair."""
+    cells = {}  # value -> positions in row-major order
+    for i in range(1, len(marks)):
+        for j in range(1, i + 1):
+            cells.setdefault(marks[i] - marks[i - j], []).append((i, j))
+    duplicates = [(value, where[0], where[1]) for value, where in cells.items() if len(where) > 1]
+    return min(duplicates, default=None)
+
+
 class TestVerifyGraceful:
     def test_graceful(self):
         assert verify_graceful(Ruler((0, 1, 3))).graceful
@@ -121,6 +132,17 @@ class TestVerifyGraceful:
             w = report.witness
             assert w.first != w.second
             assert tri.entry(*w.first) == tri.entry(*w.second) == w.value
+
+    @given(ruler_marks(max_order=20, max_mark=60))
+    def test_witness_is_the_first_duplicate(self, marks):
+        report = verify_graceful(Ruler(marks))
+        got = None if report.graceful else (report.witness.value, report.witness.first, report.witness.second)
+        assert got == first_duplicate_by_scan(marks)
+
+    def test_flat_index_to_cell(self):
+        n = 60
+        cells = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
+        assert [_cell(k) for k in range(len(cells))] == cells
 
     @given(ruler_marks())
     def test_graceful_implies_lower_bound(self, marks):

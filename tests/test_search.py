@@ -3,7 +3,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from golomb import (
     InfeasibleBoundError,
@@ -15,7 +15,7 @@ from golomb import (
     verify_graceful,
 )
 from golomb import search
-from golomb.search import _Search, _place, _solve, _worker_count
+from golomb.search import _canonical, _Search, _solve, _worker_count
 
 
 def naive_optimal(n):
@@ -174,21 +174,90 @@ def is_golomb(marks):
     return len(diffs) == len(set(diffs))
 
 
+def golomb_prefix(gaps):
+    """Marks from the gaps, skipping any gap that would repeat a difference."""
+    marks = [0]
+    for gap in gaps:
+        if is_golomb(marks + [marks[-1] + gap]):
+            marks.append(marks[-1] + gap)
+    return marks
+
+
+class PathSearch(_Search):
+    """The kernel, made to descend only along the given gaps.
+
+    Every call of the kernel is recorded with its arguments, so a test reads
+    the bitmaps the kernel holds at each step and the gaps it offers next.
+    G(k) is taken as 0 for every k, leaving only the bounds that need no
+    sub-search.
+    """
+
+    def __init__(self, n, gaps, limit):
+        super().__init__(n, [0] * n, limit, None)
+        self.gaps = gaps
+        self.calls = []
+
+    def _dfs(self, d, pos, lst, dist, comp, gap):
+        self.calls.append((d, pos, lst, dist, comp, gap))
+        if d <= len(self.gaps) and gap == self.gaps[d - 1]:
+            super()._dfs(d, pos, lst, dist, comp, gap)
+
+
 class TestPlacementBitmaps:
     @given(st.lists(st.integers(min_value=1, max_value=40), max_size=10))
     def test_comp_is_exactly_the_inadmissible_gaps(self, gaps):
-        marks, lst, dist, comp = [0], 0, 0, 0
-        for gap in gaps:
-            if not is_golomb(marks + [marks[-1] + gap]):
-                continue  # keep the prefix a Golomb ruler
-            lst, dist, comp = _place(lst, dist, comp, gap)
-            marks.append(marks[-1] + gap)
+        marks = golomb_prefix(gaps)
+        path = [b - a for a, b in zip(marks, marks[1:])]
         last = marks[-1]
+        # two marks beyond the path, so the offered gaps meet no symmetry rule
+        kernel = PathSearch(len(marks) + 2, path, limit=4 * last + 200)
+        gap_range = range(1, 2 * last + 42)
+        kernel.run(gap_range)
+        offered = [call for call in kernel.calls if call[0] == len(marks) and call[5] in gap_range]
         diffs = {b - a for i, a in enumerate(marks) for b in marks[i + 1 :]}
+        admissible = [g for g in gap_range if is_golomb(marks + [last + g])]
+        assert [call[5] for call in offered] == admissible
+        assert len({call[1:5] for call in offered}) == 1
+        _, pos, lst, dist, comp, _ = offered[0]
+        assert pos == last
         assert lst == sum(1 << (last - m) for m in marks[:-1])
         assert dist == sum(1 << d for d in diffs)
-        for g in range(1, 2 * last + 42):
-            assert bool(comp >> g & 1) == (not is_golomb(marks + [last + g])), g
+        for g in gap_range:
+            assert bool(comp >> g & 1) == (g not in admissible), g
+
+
+def missing_sum(used, k):
+    """S_k: the sum of the k smallest positive integers not in ``used``."""
+    total, candidate = 0, 0
+    for _ in range(k):
+        candidate += 1
+        while candidate in used:
+            candidate += 1
+        total += candidate
+    return total
+
+
+class TestUnusedDifferenceBound:
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=9))
+    def test_bound_holds_on_every_prefix(self, gaps):
+        marks = golomb_prefix(gaps)
+        n = len(marks)
+        for d in range(1, n - 1):  # prefix marks[:d], next mark d
+            used = {b - a for i, a in enumerate(marks[:d]) for b in marks[i + 1 : d]}
+            assert missing_sum(used, n - 1 - d) <= marks[-1] - marks[d]
+
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=9))
+    def test_kernel_reaches_a_ruler_at_its_own_length(self, gaps):
+        marks = _canonical(tuple(golomb_prefix(gaps)))
+        assume(len(marks) >= 3)
+        path = [b - a for a, b in zip(marks, marks[1:])]
+        kernel = PathSearch(len(marks), path, limit=marks[-1])
+        kernel.run([path[0]])
+        assert kernel.best == marks
+
+    def test_n10_node_count(self):
+        # 245 133 nodes with the bound; about 877 k with the G(k) tails alone
+        assert search_optimal(SearchConfig(order=10)).nodes_explored <= 300_000
 
 
 class TestCompareConstructions:
