@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict, astuple, fields
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -31,7 +32,7 @@ from .constructions import (
     half_cubic_bound,
     quadratic_sequence,
 )
-from .search import SearchConfig, compare_constructions, search_optimal
+from .search import BenchRow, SearchConfig, compare_constructions, search_optimal
 
 SCHEMA = "golomb/1"
 
@@ -42,6 +43,19 @@ EXIT_TIMEOUT = 3
 
 SEARCH_MAX_ORDER = 15
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
+_TERMS_PER_WRITE = 4096  # counterexample writes its sequence this many terms at a time
+
+# --method name -> (builder(n, modulus), length bound(n) or None); only
+# triangular uses the modulus
+METHODS = {
+    "pow2": (lambda n, modulus: construct_powers_of_two(n), None),
+    "cubic": (lambda n, modulus: construct_cubic(n), cubic_bound),
+    "halfcubic": (lambda n, modulus: construct_half_cubic(n), half_cubic_bound),
+    "triangular": (
+        lambda n, modulus: construct_triangular(TriangularParams(order=n, modulus=modulus)),
+        None,
+    ),
+}
 
 
 class UsageError(Exception):
@@ -89,29 +103,19 @@ def _render_report(report: GracefulnessReport, fmt: str, extra: dict) -> None:
             )
 
 
+def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
+    if method == "triangular" and modulus is None:
+        raise UsageError("--modulus is required for --method triangular")
+    build, _ = METHODS[method]
+    return build(n, modulus)
+
+
 def cmd_construct(args) -> int:
     method = args.method
     n = args.n
-    if method == "triangular":
-        if args.modulus is None:
-            raise UsageError("--modulus is required for --method triangular")
-        ruler = construct_triangular(TriangularParams(order=n, modulus=args.modulus))
-        bound = None
-    elif method == "pow2":
-        if args.modulus is not None:
-            raise UsageError("--modulus only applies to --method triangular")
-        ruler = construct_powers_of_two(n)
-        bound = None
-    elif method == "cubic":
-        if args.modulus is not None:
-            raise UsageError("--modulus only applies to --method triangular")
-        ruler = construct_cubic(n)
-        bound = cubic_bound(n)
-    else:  # halfcubic
-        if args.modulus is not None:
-            raise UsageError("--modulus only applies to --method triangular")
-        ruler = construct_half_cubic(n)
-        bound = half_cubic_bound(n)
+    if method != "triangular" and args.modulus is not None:
+        raise UsageError("--modulus only applies to --method triangular")
+    ruler = _build(method, n, args.modulus)
     report = verify_graceful(ruler)
     extra = {
         "schema": SCHEMA,
@@ -120,8 +124,9 @@ def cmd_construct(args) -> int:
         "marks": list(ruler.marks),
         "length": ruler.length(),
     }
+    _, bound = METHODS[method]
     if bound is not None:
-        extra["bound"] = bound
+        extra["bound"] = bound(n)
     _render_report(report, args.format, extra)
     return EXIT_OK if report.graceful else EXIT_NOT_GRACEFUL
 
@@ -198,16 +203,7 @@ def cmd_triangle(args) -> int:
             raise UsageError("give marks or --method, not both")
         if args.n is None:
             raise UsageError("--method needs --n")
-        if args.method == "triangular" and args.modulus is None:
-            raise UsageError("--modulus is required for --method triangular")
-        if args.method == "pow2":
-            ruler = construct_powers_of_two(args.n)
-        elif args.method == "cubic":
-            ruler = construct_cubic(args.n)
-        elif args.method == "halfcubic":
-            ruler = construct_half_cubic(args.n)
-        else:
-            ruler = construct_triangular(TriangularParams(order=args.n, modulus=args.modulus))
+        ruler = _build(args.method, args.n, args.modulus)
     else:
         if not args.marks:
             raise UsageError("no marks given")
@@ -254,44 +250,20 @@ def cmd_search(args) -> int:
     return EXIT_OK if result.optimal else EXIT_TIMEOUT
 
 
-CSV_HEADER = "n,lower_bound,optimal,pow2,thm1,thm1_nminus2,thm2"
+BENCH_COLUMNS = [field.name for field in fields(BenchRow)]
 
 
 def cmd_bench(args) -> int:
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
-    q = lambda v: "?" if v is None else str(v)
+    if args.format == "json":
+        _emit({"schema": SCHEMA, "rows": [asdict(r) for r in rows]})
+        return EXIT_OK
+    table = [BENCH_COLUMNS] + [["?" if v is None else str(v) for v in astuple(r)] for r in rows]
     if args.format == "csv":
-        print(CSV_HEADER)
-        for r in rows:
-            print(
-                "%d,%d,%s,%s,%d,%d,%d"
-                % (r.n, r.lower_bound, q(r.optimal), q(r.pow2), r.cubic, r.cubic_shifted, r.half_cubic)
-            )
-    elif args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "lower_bound": r.lower_bound,
-                        "optimal": r.optimal,
-                        "pow2": r.pow2,
-                        "thm1": r.cubic,
-                        "thm1_nminus2": r.cubic_shifted,
-                        "thm2": r.half_cubic,
-                    }
-                    for r in rows
-                ],
-            }
-        )
+        for row in table:
+            print(",".join(row))
     else:
-        header = CSV_HEADER.split(",")
-        table = [header] + [
-            [str(r.n), str(r.lower_bound), q(r.optimal), q(r.pow2), str(r.cubic), str(r.cubic_shifted), str(r.half_cubic)]
-            for r in rows
-        ]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+        widths = [max(len(row[i]) for row in table) for i in range(len(BENCH_COLUMNS))]
         for row in table:
             print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return EXIT_OK
@@ -307,29 +279,36 @@ def cmd_counterexample(args) -> int:
         )
     seq = quadratic_sequence(params, witness.n)
     if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "a": args.a,
-                "b": args.b,
-                "c": args.c,
-                "n": witness.n,
-                "sequence": seq,
-                "first": [witness.i1, witness.j1],
-                "second": [witness.i2, witness.j2],
-                "value": witness.value,
-                "verified": True,
-            }
-        )
+        head = {"schema": SCHEMA, "a": args.a, "b": args.b, "c": args.c, "n": witness.n}
+        tail = {
+            "first": [witness.i1, witness.j1],
+            "second": [witness.i2, witness.j2],
+            "value": witness.value,
+            "verified": True,
+        }
+        # the same bytes as json.dumps of the whole object, without the whole line in memory
+        sys.stdout.write(json.dumps(head)[:-1] + ', "sequence": [')
+        _write_terms(seq, ", ")
+        sys.stdout.write("], " + json.dumps(tail)[1:] + "\n")
     else:
         print("n: %d" % witness.n)
-        print("sequence: %s" % " ".join(str(v) for v in seq))
+        sys.stdout.write("sequence: ")
+        _write_terms(seq, " ")
+        sys.stdout.write("\n")
         print(
             "collision: value %d at (%d,%d) and (%d,%d)"
             % (witness.value, witness.i1, witness.j1, witness.i2, witness.j2)
         )
         print("verified")
     return EXIT_OK
+
+
+def _write_terms(seq: Sequence[int], sep: str) -> None:
+    """Write the terms joined by ``sep``, a slice at a time."""
+    for start in range(0, len(seq), _TERMS_PER_WRITE):
+        if start:
+            sys.stdout.write(sep)
+        sys.stdout.write(sep.join(map(str, seq[start:start + _TERMS_PER_WRITE])))
 
 
 def _add_format(parser, choices=("text", "json")) -> None:
@@ -344,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a ruler from one of the explicit families")
-    p.add_argument("--method", required=True, choices=["pow2", "cubic", "halfcubic", "triangular"])
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--modulus", type=int, default=None)
     _add_format(p)
@@ -358,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="render the difference triangle")
     p.add_argument("marks", type=int, nargs="*")
-    p.add_argument("--method", choices=["pow2", "cubic", "halfcubic", "triangular"], default=None)
+    p.add_argument("--method", choices=list(METHODS), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--modulus", type=int, default=None)
     _add_format(p)
@@ -367,7 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact optimal ruler by branch-and-bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--timeout", default=None, help="e.g. 500ms, 10s, 2m")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; the search runs on one thread",
+    )
     _add_format(p)
     p.set_defaults(func=cmd_search)
 

@@ -32,9 +32,7 @@ co-minimal ones.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,7 +57,7 @@ class SearchConfig:
     order: int
     initial_upper_bound: Optional[int] = None
     time_limit: Optional[float] = None  # seconds
-    parallelism: int = 1
+    parallelism: int = 1  # accepted for compatibility; the search runs on one thread
 
     def __post_init__(self):
         if self.order < 2:
@@ -89,30 +87,19 @@ def _canonical(marks: Tuple[int, ...]) -> Tuple[int, ...]:
     return min(marks, mirror)
 
 
-def _worker_count(parallelism: int) -> int:
-    """Threads for a fan-out: the requested count, at most one per core."""
-    return max(1, min(parallelism, os.cpu_count() or 1))
-
-
 class _Timeout(Exception):
     """Unwinds the kernel when the deadline has passed."""
 
 
 class _Search:
-    """Branch-and-bound over the rulers of one order, or one fan-out task of it.
+    """Branch-and-bound over the rulers of one order.
 
     ``limit`` is the largest length still worth finding; a ruler found at
     length L lowers it to L - 1, so among rulers of one length the first
-    found, the lexicographically smallest, is kept.  Fan-out task ``slot``
-    explores one first gap, writes its best length to ``shared[slot]`` and
-    reads the other slots at the deadline-check cadence.  A length L from an
-    earlier slot (a smaller first gap, so lexicographically smaller rulers)
-    caps the limit at L - 1, one from a later slot at L, so the task holding
-    the lex-min optimum still finds it.  One writer per slot needs no lock.
+    found, the lexicographically smallest, is kept.
     """
 
-    def __init__(self, n: int, spans: Sequence[int], limit: int, deadline: Optional[float],
-                 shared: Optional[List[int]] = None, slot: int = 0):
+    def __init__(self, n: int, spans: Sequence[int], limit: int, deadline: Optional[float]):
         self.n = n
         self.spans = spans  # spans[k] = G(k) for k < n
         # Mark d lies at or beyond G(d+1), with G(n-d) of span still to come.
@@ -120,8 +107,6 @@ class _Search:
         self.tails = [0] + [spans[n - d] for d in range(1, n)]
         self.limit = limit
         self.deadline = deadline
-        self.shared = shared
-        self.slot = slot
         self.first_gap = 0
         self.best: Optional[Tuple[int, ...]] = None
         self.nodes = 0
@@ -153,9 +138,6 @@ class _Search:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Timeout
-        if self.shared is not None:
-            earlier = [length - 1 for length in self.shared[:self.slot]]
-            self.limit = min([self.limit] + earlier + self.shared[self.slot + 1:])
 
     def _dfs(self, d: int, pos: int, lst: int, dist: int, comp: int, gap: int) -> None:
         """Place mark d at ``gap`` beyond ``pos``, then every admissible mark d + 1."""
@@ -202,31 +184,12 @@ class _Search:
         marks = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
         self.best = _canonical(marks)
         self.limit = span - 1
-        if self.shared is not None:
-            self.shared[self.slot] = span
 
 
-def _solve(n: int, spans: Sequence[int], limit: int, deadline: Optional[float],
-           workers: int) -> Tuple[Optional[Tuple[int, ...]], int, bool]:
-    """Best ruler of order n no longer than limit, nodes visited, timed out.
-
-    With several workers each admissible first gap is one thread-pool task;
-    the merge by (length, marks) gives the same ruler as a sequential run.
-    """
-    root = _Search(n, spans, limit, deadline)
-    if workers <= 1:
-        tasks = [root.run(root.first_gaps())]
-    else:
-        gaps = root.first_gaps()
-        shared = [limit + 1] * len(gaps)
-        tasks = [_Search(n, spans, limit, deadline, shared, slot) for slot in range(len(gaps))]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task.run, [gap]) for task, gap in zip(tasks, gaps)]
-            for future in futures:
-                future.result()
-    found = [task.best for task in tasks if task.best is not None]
-    best = min(found, key=lambda marks: (marks[-1], marks)) if found else None
-    return best, sum(task.nodes for task in tasks), any(task.timed_out for task in tasks)
+def _solve(n: int, spans: Sequence[int], limit: int, deadline: Optional[float]) -> _Search:
+    """The finished search for the best ruler of order n no longer than limit."""
+    search = _Search(n, spans, limit, deadline)
+    return search.run(search.first_gaps())
 
 
 def search_optimal(config: SearchConfig) -> SearchResult:
@@ -243,27 +206,28 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    incumbent: Optional[Tuple[int, ...]] = construct_half_cubic(n).marks
-    limit = incumbent[-1] - 1
-    if config.initial_upper_bound is not None and incumbent[-1] > config.initial_upper_bound:
-        incumbent = None
+    best: Optional[Tuple[int, ...]] = construct_half_cubic(n).marks
+    limit = best[-1] - 1
+    if config.initial_upper_bound is not None and best[-1] > config.initial_upper_bound:
+        best = None
         limit = config.initial_upper_bound
 
     spans = [0, 0, 1]  # G(0), G(1), G(2)
     nodes = 0
     timed_out = False
     for k in range(3, n):
-        found, k_nodes, timed_out = _solve(k, spans, half_cubic_bound(k) - 1, deadline, 1)
-        nodes += k_nodes
+        sub = _solve(k, spans, half_cubic_bound(k) - 1, deadline)
+        nodes += sub.nodes
+        timed_out = sub.timed_out
         if timed_out:
             break
-        spans.append(found[-1] if found else half_cubic_bound(k))
+        spans.append(sub.best[-1] if sub.best else half_cubic_bound(k))
 
-    best = incumbent
     if not timed_out:
-        found, k_nodes, timed_out = _solve(n, spans, limit, deadline, _worker_count(config.parallelism))
-        nodes += k_nodes
-        best = found or incumbent
+        main = _solve(n, spans, limit, deadline)
+        nodes += main.nodes
+        timed_out = main.timed_out
+        best = main.best or best
 
     if best is None:
         if timed_out:
@@ -279,15 +243,18 @@ def search_optimal(config: SearchConfig) -> SearchResult:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One order's worth of construction lengths next to the exact optimum."""
+    """One order's worth of construction lengths next to the exact optimum.
+
+    The fields, in order, are the columns of ``golomb bench``.
+    """
 
     n: int
     lower_bound: int
     optimal: Optional[int]
     pow2: Optional[int]
-    cubic: int
-    cubic_shifted: int  # triangular family at modulus n - 2
-    half_cubic: int
+    thm1: int  # cubic construction
+    thm1_nminus2: int  # triangular family at modulus n - 2
+    thm2: int  # half-cubic construction
 
 
 def compare_constructions(
@@ -315,9 +282,9 @@ def compare_constructions(
                 lower_bound=lower_bound(n),
                 optimal=optimal,
                 pow2=pow2_bound(n),
-                cubic=cubic_bound(n),
-                cubic_shifted=shifted_cubic_bound(n),
-                half_cubic=half_cubic_bound(n),
+                thm1=cubic_bound(n),
+                thm1_nminus2=shifted_cubic_bound(n),
+                thm2=half_cubic_bound(n),
             )
         )
     return rows

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from golomb import cli
+import golomb
+from golomb import QuadraticFamilyParams, cli, find_quadratic_collision, quadratic_sequence
 from golomb.cli import main
 
 
@@ -170,6 +174,12 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "5", "--timeout", "soon")
         assert code == 2
 
+    def test_jobs_below_one(self, capsys):
+        code, out, err = run(capsys, "search", "--n", "5", "--jobs", "0")
+        assert code == 2
+        assert out == ""
+        assert "error: parallelism must be at least 1" in err
+
 
 class TestBench:
     def test_csv_n5(self, capsys):
@@ -252,6 +262,40 @@ class TestCounterexample:
             assert code == 2
             assert out == ""
             assert "cap of 1000000 terms" in err
+
+
+    # a = b = 1 gives n = 12 + c: one slice, several, and exactly two
+    @pytest.mark.parametrize("n", [12, 3 * 4096 + 5, 2 * 4096])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_streamed_output_matches_whole_line(self, capsys, n, fmt):
+        params = QuadraticFamilyParams(a=1, b=1, c=n - 12)
+        w = find_quadratic_collision(params)
+        seq = quadratic_sequence(params, w.n)
+        assert w.n == n
+        if fmt == "json":
+            expected = json.dumps(
+                {
+                    "schema": "golomb/1", "a": 1, "b": 1, "c": n - 12, "n": n, "sequence": seq,
+                    "first": [w.i1, w.j1], "second": [w.i2, w.j2], "value": w.value, "verified": True,
+                }
+            ) + "\n"
+        else:
+            expected = (
+                "n: %d\nsequence: %s\ncollision: value %d at (%d,%d) and (%d,%d)\nverified\n"
+                % (n, " ".join(str(v) for v in seq), w.value, w.i1, w.j1, w.i2, w.j2)
+            )
+        code, out, _ = run(capsys, "counterexample", "--a", "1", "--b", "1", "--c", str(n - 12), "--format", fmt)
+        assert code == 0
+        # equal word lists mean equal text; pytest reports a list's first difference quickly
+        assert out.split(" ") == expected.split(" ")
+
+
+def test_import_leaves_thread_pool_out():
+    src = os.path.dirname(os.path.dirname(golomb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, golomb.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_no_command_is_usage_error(capsys):

@@ -1,4 +1,3 @@
-import sys
 import time
 from itertools import combinations
 
@@ -14,8 +13,7 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb import search
-from golomb.search import _canonical, _Search, _solve, _worker_count
+from golomb.search import _canonical, _Search
 
 
 def naive_optimal(n):
@@ -34,7 +32,6 @@ def naive_optimal(n):
 
 
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
-SPANS_BELOW_8 = [0, 0] + [KNOWN_OPTIMA[k] for k in range(2, 8)]  # G(0)..G(7)
 
 
 class TestSearchOptimal:
@@ -129,36 +126,6 @@ class TestSearchOptimal:
         assert not result.optimal
         assert verify_graceful(result.ruler).graceful
         assert len(result.ruler.marks) == 11
-
-    def test_timed_out_fan_out_reports_timeout(self):
-        best, _, timed_out = _solve(8, SPANS_BELOW_8, 50, time.monotonic() - 1.0, workers=2)
-        assert timed_out
-        assert best is None
-
-    def test_fan_out_under_thread_switching(self):
-        # more workers than cores, switching threads as often as possible
-        sequential = _solve(8, SPANS_BELOW_8, half_cubic_bound(8) - 1, None, workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            fanned = _solve(8, SPANS_BELOW_8, half_cubic_bound(8) - 1, time.monotonic() + 60, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert fanned[0] == sequential[0] == (0, 1, 4, 9, 15, 22, 32, 34)
-        assert not fanned[2]
-
-    def test_fan_out_task_reads_bounds_by_slot_order(self):
-        # task slots follow first gaps; only a later task's length admits ties
-        later_found_34 = _Search(8, SPANS_BELOW_8, 40, None, [41, 34], slot=0).run([1])
-        assert later_found_34.best == (0, 1, 4, 9, 15, 22, 32, 34)
-        earlier_found_34 = _Search(8, SPANS_BELOW_8, 40, None, [34, 41], slot=1).run([1])
-        assert earlier_found_34.best is None
-
-    def test_worker_count_capped_at_cores(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-        assert [_worker_count(j) for j in (1, 2, 8, 1000)] == [1, 2, 2, 2]
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert _worker_count(8) == 1
 
     @pytest.mark.parametrize("jobs", [2, 4, 8])
     def test_parallel_matches_sequential(self, jobs):
@@ -257,7 +224,12 @@ class TestUnusedDifferenceBound:
 
     def test_n10_node_count(self):
         # 245 133 nodes with the bound; about 877 k with the G(k) tails alone
-        assert search_optimal(SearchConfig(order=10)).nodes_explored <= 300_000
+        sequential = search_optimal(SearchConfig(order=10))
+        assert sequential.nodes_explored <= 300_000
+        # parallelism selects nothing, so the same search runs
+        jobs2 = search_optimal(SearchConfig(order=10, parallelism=2))
+        assert jobs2.nodes_explored == sequential.nodes_explored
+        assert jobs2.ruler.marks == sequential.ruler.marks
 
 
 class TestCompareConstructions:
@@ -265,12 +237,12 @@ class TestCompareConstructions:
         rows = compare_constructions(5, exact_cutoff=5)
         row = rows[-1]
         assert (row.n, row.lower_bound, row.optimal, row.pow2) == (5, 10, 11, 15)
-        assert (row.cubic, row.cubic_shifted, row.half_cubic) == (34, 22, 16)
+        assert (row.thm1, row.thm1_nminus2, row.thm2) == (34, 22, 16)
 
     def test_row_n2(self):
         (row,) = compare_constructions(2, exact_cutoff=2)
         assert (row.lower_bound, row.optimal, row.pow2) == (1, 1, 1)
-        assert (row.cubic, row.cubic_shifted, row.half_cubic) == (1, 1, 1)
+        assert (row.thm1, row.thm1_nminus2, row.thm2) == (1, 1, 1)
 
     def test_optimal_blank_beyond_cutoff(self):
         rows = compare_constructions(6, exact_cutoff=4)
