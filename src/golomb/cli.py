@@ -254,6 +254,8 @@ BENCH_COLUMNS = [field.name for field in fields(BenchRow)]
 
 
 def cmd_bench(args) -> int:
+    if min(args.n_max, args.exact_cutoff) > SEARCH_MAX_ORDER:
+        raise UsageError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
     if args.format == "json":
         _emit({"schema": SCHEMA, "rows": [asdict(r) for r in rows]})

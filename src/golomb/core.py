@@ -115,12 +115,10 @@ def build_difference_triangle(ruler: Ruler) -> DifferenceTriangle:
     if n < 2:
         raise ValueError("order-too-small: need at least 2 marks, got %d" % n)
     marks = ruler.marks
-    entries = []
-    for i in range(1, n):
-        top = marks[i]  # row i ends at the (i+1)-th mark, 1-based
-        for j in range(1, i + 1):
-            entries.append(_check_u64(top - marks[i - j]))
-    return DifferenceTriangle(order=n, entries=tuple(entries))
+    # Ruler guarantees 0 = marks[0] < ... < marks[-1] <= U64_MAX, so every
+    # difference lies in [1, U64_MAX].  Row i ends at the (i+1)-th mark, 1-based.
+    entries = tuple(marks[i] - marks[i - j] for i in range(1, n) for j in range(1, i + 1))
+    return DifferenceTriangle(order=n, entries=entries)
 
 
 def verify_graceful(ruler: Ruler) -> GracefulnessReport:

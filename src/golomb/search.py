@@ -14,9 +14,9 @@ leaves out of ``comp'`` are differences between earlier marks, which are
 already in ``dist``, so ``comp'`` is exact and the kernel visits only
 admissible gaps, lowest first.
 
-The span bounds use G(k), the optimal length of a k-mark ruler, which every
-search works out for k < n by solving the smaller orders with the same
-kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).
+The span bounds use G(k), the optimal length of a k-mark ruler, which one
+pass through the orders 2..n works out for k < n, smallest first, with the
+same kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).
 The marks after mark d are also bounded by S_k(dist), the sum of the k
 smallest positive integers missing from ``dist``: the k = n-1-d gaps after
 mark d are distinct differences that the marks before it have not used, so
@@ -112,25 +112,21 @@ class _Search:
         self.nodes = 0
         self.timed_out = False
 
-    def first_gaps(self) -> range:
-        """Positions for mark 1, all admissible, under the current limit.
+    def run(self) -> "_Search":
+        """Explore every ruler under the limit, first gap by first gap.
 
         The first gap is at most the last gap, and marks 1..n-2 span at
-        least G(n-2), so twice the first gap fits in limit - G(n-2).  At
-        n = 2 the incumbent (0, 1) always leaves limit 0 and no gap.
+        least G(n-2), so twice the first gap fits in limit - G(n-2); the
+        bound is read again after each first gap, as rulers found lower it.
         """
         n, spans = self.n, self.spans
-        return range(1, min(self.limit - spans[n - 1], (self.limit - spans[n - 2]) // 2) + 1)
-
-    def run(self, gaps: Sequence[int]) -> "_Search":
-        """Explore every ruler whose first gap is in ``gaps``, in order."""
         try:
             self._tick()
-            for gap in gaps:
-                if gap not in self.first_gaps():
-                    break
+            gap = 1
+            while gap <= min(self.limit - spans[n - 1], (self.limit - spans[n - 2]) // 2):
                 self.first_gap = gap
                 self._dfs(1, 0, 0, 0, 0, gap)
+                gap += 1
         except _Timeout:
             self.timed_out = True
         return self
@@ -186,21 +182,35 @@ class _Search:
         self.limit = span - 1
 
 
-def _solve(n: int, spans: Sequence[int], limit: int, deadline: Optional[float]) -> _Search:
-    """The finished search for the best ruler of order n no longer than limit."""
-    search = _Search(n, spans, limit, deadline)
-    return search.run(search.first_gaps())
+def _search_orders(n: int, limit: int, deadline: Optional[float]) -> List[_Search]:
+    """Search the orders 2..n in turn, each bounded by the optima of the smaller ones.
+
+    Order n runs under ``limit`` and each smaller order k under
+    half_cubic_bound(k) - 1, so a finished search leaves limit + 1 == G(k)
+    whether or not it beat the half-cubic ruler.  The loop stops after a
+    search that times out.
+    """
+    spans = [0, 0]  # G(0), G(1)
+    searches = []
+    for k in range(2, n + 1):
+        search = _Search(k, spans, limit if k == n else half_cubic_bound(k) - 1, deadline).run()
+        searches.append(search)
+        if search.timed_out:
+            break
+        spans.append(search.limit + 1)
+    return searches
 
 
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    The search first proves G(k) for k = 3..n-1 with the same kernel, then
-    runs branch-and-bound from the half-cubic construction (or the supplied
-    bound).  If it completes, the result is optimal and the ruler is the
+    One pass through the orders 2..n proves G(k) for every k < n with the
+    same kernel, then runs branch-and-bound at order n from the half-cubic
+    construction (or the supplied bound); nodes are summed over the pass.
+    If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
-    expires, in the sub-searches or the main one, the best incumbent so far
-    is returned with optimal=False.
+    expires, at order n or a smaller one, the best incumbent so far is
+    returned with optimal=False.
     """
     n = config.order
     start = time.monotonic()
@@ -212,32 +222,21 @@ def search_optimal(config: SearchConfig) -> SearchResult:
         best = None
         limit = config.initial_upper_bound
 
-    spans = [0, 0, 1]  # G(0), G(1), G(2)
-    nodes = 0
-    timed_out = False
-    for k in range(3, n):
-        sub = _solve(k, spans, half_cubic_bound(k) - 1, deadline)
-        nodes += sub.nodes
-        timed_out = sub.timed_out
-        if timed_out:
-            break
-        spans.append(sub.best[-1] if sub.best else half_cubic_bound(k))
-
-    if not timed_out:
-        main = _solve(n, spans, limit, deadline)
-        nodes += main.nodes
-        timed_out = main.timed_out
-        best = main.best or best
+    searches = _search_orders(n, limit, deadline)
+    last = searches[-1]
+    if last.n == n:
+        best = last.best or best
 
     if best is None:
-        if timed_out:
+        if last.timed_out:
             raise TimeoutError("time limit expired before any ruler was found")
         raise InfeasibleBoundError(
             "no ruler of order %d fits under length %d" % (n, config.initial_upper_bound)
         )
     return SearchResult(
-        ruler=Ruler(best), length=best[-1], optimal=not timed_out,
-        nodes_explored=nodes, elapsed=time.monotonic() - start,
+        ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
+        nodes_explored=sum(search.nodes for search in searches),
+        elapsed=time.monotonic() - start,
     )
 
 
@@ -257,30 +256,26 @@ class BenchRow:
     thm2: int  # half-cubic construction
 
 
-def compare_constructions(
-    n_max: int,
-    exact_cutoff: int = 9,
-    time_limit: Optional[float] = None,
-) -> List[BenchRow]:
+def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     """Tabulate construction lengths against C(n,2) and the exact optimum.
 
-    The optimum column is filled by exact search for n up to exact_cutoff and
-    left unknown (None) beyond it.
+    The optimum column is filled for n up to exact_cutoff from one pass of
+    exact search through the orders, each order proved once, and left
+    unknown (None) beyond it.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2, got %d" % n_max)
+    top = min(n_max, exact_cutoff)
+    optima = {}
+    if top >= 2:
+        optima = {s.n: s.limit + 1 for s in _search_orders(top, half_cubic_bound(top) - 1, None)}
     rows = []
     for n in range(2, n_max + 1):
-        optimal = None
-        if n <= exact_cutoff:
-            result = search_optimal(SearchConfig(order=n, time_limit=time_limit))
-            if result.optimal:
-                optimal = result.length
         rows.append(
             BenchRow(
                 n=n,
                 lower_bound=lower_bound(n),
-                optimal=optimal,
+                optimal=optima.get(n),
                 pow2=pow2_bound(n),
                 thm1=cubic_bound(n),
                 thm1_nminus2=shifted_cubic_bound(n),

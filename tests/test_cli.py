@@ -8,6 +8,7 @@ import pytest
 import golomb
 from golomb import QuadraticFamilyParams, cli, find_quadratic_collision, quadratic_sequence
 from golomb.cli import main
+from golomb.search import _Search
 
 
 def run(capsys, *argv):
@@ -210,6 +211,26 @@ class TestBench:
             "n": 3, "lower_bound": 3, "optimal": 3, "pow2": 3,
             "thm1": 5, "thm1_nminus2": 3, "thm2": 3,
         }
+
+    def test_exact_search_above_the_search_cap_is_refused(self, capsys, monkeypatch):
+        def run_search(self):
+            raise AssertionError("exact search started")
+
+        monkeypatch.setattr(_Search, "run", run_search)
+        for n_max, cutoff in (("16", "16"), ("40", "20")):
+            code, out, err = run(capsys, "bench", "--n-max", n_max, "--exact-cutoff", cutoff)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "up to 15" in err
+        # order 15 itself is within the cap and reaches the search
+        with pytest.raises(AssertionError, match="exact search started"):
+            main(["bench", "--n-max", "15", "--exact-cutoff", "15"])
+
+    def test_only_the_searched_orders_meet_the_cap(self, capsys):
+        for n_max, cutoff, last in (("8", "100", ["8", "28", "34"]), ("20", "4", ["20", "190", "?"])):
+            code, out, _ = run(capsys, "bench", "--n-max", n_max, "--exact-cutoff", cutoff, "--format", "csv")
+            assert code == 0
+            assert out.strip().splitlines()[-1].split(",")[:3] == last
 
     def test_bad_n_max(self, capsys):
         code, _, _ = run(capsys, "bench", "--n-max", "1")

@@ -47,6 +47,10 @@ class TestDifferenceTriangle:
         tri = build_difference_triangle(Ruler((0, 1, 3)))
         assert tri.rows() == [[1], [2, 3]]
 
+    def test_difference_at_u64_max(self):
+        tri = build_difference_triangle(Ruler((0, 2**64 - 1)))
+        assert tri.rows() == [[2**64 - 1]]
+
     def test_n5(self):
         tri = build_difference_triangle(Ruler((0, 1, 4, 9, 16)))
         assert tri.rows() == [[1], [3, 4], [5, 8, 9], [7, 12, 15, 16]]

@@ -179,7 +179,7 @@ class TestPlacementBitmaps:
         # two marks beyond the path, so the offered gaps meet no symmetry rule
         kernel = PathSearch(len(marks) + 2, path, limit=4 * last + 200)
         gap_range = range(1, 2 * last + 42)
-        kernel.run(gap_range)
+        kernel.run()
         offered = [call for call in kernel.calls if call[0] == len(marks) and call[5] in gap_range]
         diffs = {b - a for i, a in enumerate(marks) for b in marks[i + 1 :]}
         admissible = [g for g in gap_range if is_golomb(marks + [last + g])]
@@ -219,7 +219,7 @@ class TestUnusedDifferenceBound:
         assume(len(marks) >= 3)
         path = [b - a for a, b in zip(marks, marks[1:])]
         kernel = PathSearch(len(marks), path, limit=marks[-1])
-        kernel.run([path[0]])
+        kernel.run()
         assert kernel.best == marks
 
     def test_n10_node_count(self):
@@ -256,6 +256,22 @@ class TestCompareConstructions:
         by_n = {r.n: r for r in rows}
         assert by_n[63].pow2 == 2**62 - 1
         assert by_n[64].pow2 is None
+
+    def test_optimal_column_matches_known_optima(self):
+        rows = compare_constructions(9)
+        assert {r.n: r.optimal for r in rows} == KNOWN_OPTIMA
+
+    def test_one_search_per_order(self, monkeypatch):
+        orders = []
+        run = _Search.run
+
+        def counting_run(self):
+            orders.append(self.n)
+            return run(self)
+
+        monkeypatch.setattr(_Search, "run", counting_run)
+        compare_constructions(9, exact_cutoff=9)
+        assert orders == list(range(2, 10))
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
