@@ -33,6 +33,12 @@ def naive_optimal(n):
 
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
 
+# nodes_explored of search_optimal, summed over the pass through the orders;
+# a change to a bound updates this table and states the old and new counts
+NODE_COUNTS = {
+    2: 0, 3: 1, 4: 8, 5: 34, 6: 176, 7: 1_190, 8: 7_912, 9: 45_145, 10: 245_133,
+}
+
 
 class TestSearchOptimal:
     @pytest.mark.parametrize("n", range(2, 7))
@@ -94,6 +100,10 @@ class TestSearchOptimal:
     def test_infeasible_bound_n9(self):
         with pytest.raises(InfeasibleBoundError):
             search_optimal(SearchConfig(order=9, initial_upper_bound=43))
+
+    @pytest.mark.parametrize("n", sorted(NODE_COUNTS))
+    def test_node_count(self, n):
+        assert search_optimal(SearchConfig(order=n)).nodes_explored == NODE_COUNTS[n]
 
     def test_proves_n10(self):
         result = search_optimal(SearchConfig(order=10))
@@ -223,9 +233,9 @@ class TestUnusedDifferenceBound:
         assert kernel.best == marks
 
     def test_n10_node_count(self):
-        # 245 133 nodes with the bound; about 877 k with the G(k) tails alone
+        # about 877 k nodes with the G(k) tails alone
         sequential = search_optimal(SearchConfig(order=10))
-        assert sequential.nodes_explored <= 300_000
+        assert sequential.nodes_explored == NODE_COUNTS[10]
         # parallelism selects nothing, so the same search runs
         jobs2 = search_optimal(SearchConfig(order=10, parallelism=2))
         assert jobs2.nodes_explored == sequential.nodes_explored
