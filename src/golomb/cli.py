@@ -42,6 +42,7 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
 SEARCH_MAX_ORDER = 15
+RULER_MAX_ORDER = 2000  # construct, verify and triangle hold all C(n,2) differences
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
 _TERMS_PER_WRITE = 4096  # counterexample writes its sequence this many terms at a time
 
@@ -103,9 +104,15 @@ def _render_report(report: GracefulnessReport, fmt: str, extra: dict) -> None:
             )
 
 
+def _check_order(n: int) -> None:
+    if n > RULER_MAX_ORDER:
+        raise UsageError("a ruler of %d marks is above the cap of %d" % (n, RULER_MAX_ORDER))
+
+
 def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
     if method == "triangular" and modulus is None:
         raise UsageError("--modulus is required for --method triangular")
+    _check_order(n)
     build, _ = METHODS[method]
     return build(n, modulus)
 
@@ -150,6 +157,7 @@ def _read_mark_lines(path: str) -> List[List[int]]:
 def _normalize_marks(raw: Sequence[int]) -> Tuple[Ruler, int]:
     if not raw:
         raise UsageError("need at least one mark")
+    _check_order(len(raw))
     for a, b in zip(raw, raw[1:]):
         if b == a:
             raise UsageError("duplicate mark %d in input" % a)

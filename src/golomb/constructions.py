@@ -90,10 +90,14 @@ def construct_triangular(params: TriangularParams) -> Ruler:
     parity rule; smaller moduli may collide and are left to verify_graceful.
     """
     n, mod = params.order, params.modulus
-    marks = tuple(
-        _check_u64((i - 1) * (i - 2) // 2 * mod + (i - 1)) for i in range(1, n + 1)
-    )
-    return Ruler(marks)
+    return Ruler((0,) + tuple(_triangular_length(i, mod) for i in range(2, n + 1)))
+
+
+def _triangular_length(n: int, modulus: int) -> int:
+    """Last mark C(n-1,2)*modulus + (n-1) of the triangular family at order n."""
+    if n < 2:
+        raise ValueError("order must be at least 2, got %d" % n)
+    return _check_u64((n - 1) * (n - 2) // 2 * modulus + (n - 1))
 
 
 def construct_cubic(n: int) -> Ruler:
@@ -102,10 +106,10 @@ def construct_cubic(n: int) -> Ruler:
 
 
 def half_cubic_modulus(n: int) -> int:
-    """Parity rule: (n-1)/2 for odd n, n/2 for even n."""
+    """Parity rule: (n-1)/2 for odd n, n/2 for even n, that is floor(n/2)."""
     if n < 2:
         raise ValueError("order must be at least 2, got %d" % n)
-    return (n - 1) // 2 if n % 2 == 1 else n // 2
+    return n // 2
 
 
 def construct_half_cubic(n: int) -> Ruler:
@@ -115,30 +119,17 @@ def construct_half_cubic(n: int) -> Ruler:
 
 def cubic_bound(n: int) -> int:
     """Length of the cubic ruler: (n-1)((n-1)^2 + 1)/2."""
-    if n < 2:
-        raise ValueError("order must be at least 2, got %d" % n)
-    numerator = (n - 1) * ((n - 1) ** 2 + 1)
-    assert numerator % 2 == 0
-    return _check_u64(numerator // 2)
+    return _triangular_length(n, n)
 
 
 def half_cubic_bound(n: int) -> int:
-    """Length of the half-cubic ruler, dispatched on the parity of n."""
-    if n < 2:
-        raise ValueError("order must be at least 2, got %d" % n)
-    if n % 2 == 1:
-        numerator = (n - 1) ** 2 * (n - 2)
-    else:
-        numerator = n * (n - 1) * (n - 2)
-    assert numerator % 4 == 0
-    return _check_u64((n - 1) + numerator // 4)
+    """Length of the half-cubic ruler: C(n-1,2)*floor(n/2) + (n-1)."""
+    return _triangular_length(n, n // 2)
 
 
 def shifted_cubic_bound(n: int) -> int:
     """Length of the triangular family at modulus n - 2 (older published bound)."""
-    if n < 2:
-        raise ValueError("order must be at least 2, got %d" % n)
-    return _check_u64((n - 1) * (n - 2) // 2 * (n - 2) + (n - 1))
+    return _triangular_length(n, n - 2)
 
 
 def check_star_inequality(n: int) -> bool:

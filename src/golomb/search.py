@@ -16,7 +16,8 @@ admissible gaps, lowest first.
 
 The span bounds use G(k), the optimal length of a k-mark ruler, which one
 pass through the orders 2..n works out for k < n, smallest first, with the
-same kernel: mark d lies at or beyond G(d+1), and at most at limit - G(n-d).
+same kernel: mark d lies at most at limit - G(n-d).  It also lies at or
+beyond G(d+1), unchecked: admissible marks 0..d form a (d+1)-mark ruler.
 The marks after mark d are also bounded by S_k(dist), the sum of the k
 smallest positive integers missing from ``dist``: the k = n-1-d gaps after
 mark d are distinct differences that the marks before it have not used, so
@@ -102,8 +103,7 @@ class _Search:
     def __init__(self, n: int, spans: Sequence[int], limit: int, deadline: Optional[float]):
         self.n = n
         self.spans = spans  # spans[k] = G(k) for k < n
-        # Mark d lies at or beyond G(d+1), with G(n-d) of span still to come.
-        self.heads = [spans[d + 1] for d in range(n - 1)] + [0]
+        # Mark d has G(n-d) of span still to come.
         self.tails = [0] + [spans[n - d] for d in range(1, n)]
         self.limit = limit
         self.deadline = deadline
@@ -159,11 +159,7 @@ class _Search:
             missing += bit.bit_length() - 1
         if missing > tail:
             tail = missing
-        lo = self.heads[d] - pos
-        if d == last and lo < self.first_gap:
-            lo = self.first_gap  # symmetry: first gap <= last gap
-        if lo < 1:
-            lo = 1
+        lo = self.first_gap if d == last else 1  # symmetry: first gap <= last gap
         hi = self.limit - tail - pos
         if hi < lo:
             return

@@ -61,6 +61,53 @@ class TestConstruct:
         assert code == 2
 
 
+class TestRulerOrderCap:
+    CAP = cli.RULER_MAX_ORDER
+    ABOVE = [str(m) for m in range(CAP + 1)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--method", "halfcubic", "--n", str(CAP + 1)],
+            ["construct", "--method", "triangular", "--modulus", "1", "--n", str(CAP + 1)],
+            ["triangle", "--method", "cubic", "--n", str(CAP + 1)],
+            ["triangle"] + ABOVE,
+            ["verify"] + ABOVE,
+        ],
+    )
+    def test_above_the_cap_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        message = "a ruler of %d marks is above the cap of %d" % (self.CAP + 1, self.CAP)
+        assert err == "error: %s\n" % message
+
+    def test_above_the_cap_is_refused_before_building(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built a ruler above the cap")
+
+        monkeypatch.setattr(cli, "construct_triangular", fail)
+        argv = ["construct", "--method", "triangular", "--modulus", "1", "--n", "10000000"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "above the cap" in err
+
+    def test_file_line_above_the_cap_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "rulers.txt"
+        path.write_text("0 1 3\n" + " ".join(self.ABOVE) + "\n")
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "above the cap" in err
+
+    def test_triangle_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "triangle", "--method", "cubic", "--n", str(self.CAP))
+        assert code == 0
+        rows = out.splitlines()
+        assert len(rows) == self.CAP - 1
+        assert rows[-1].split()[-1] == str(golomb.cubic_bound(self.CAP))
+
+
 class TestVerify:
     def test_graceful(self, capsys):
         code, out, _ = run(capsys, "verify", "0", "1", "4", "9", "11")

@@ -127,6 +127,11 @@ class TestHalfCubic:
         assert half_cubic_modulus(5) == 2
         assert half_cubic_modulus(6) == 3
 
+    def test_modulus_is_half_the_order_rounded_down(self):
+        for n in range(2, 1001):
+            parity_rule = (n - 1) // 2 if n % 2 == 1 else n // 2
+            assert half_cubic_modulus(n) == n // 2 == parity_rule
+
     @pytest.mark.parametrize("n", range(2, 61))
     def test_graceful_with_exact_length(self, n):
         ruler = construct_half_cubic(n)
@@ -149,6 +154,69 @@ class TestShiftedCubic:
 
     def test_degenerate_n2(self):
         assert shifted_cubic_bound(2) == 1
+
+
+def closed_form_cubic(n):
+    return (n - 1) * ((n - 1) ** 2 + 1) // 2
+
+
+def closed_form_half_cubic(n):
+    if n % 2 == 1:
+        return (n - 1) + (n - 1) ** 2 * (n - 2) // 4
+    return (n - 1) + n * (n - 1) * (n - 2) // 4
+
+
+def closed_form_shifted_cubic(n):
+    return (n - 1) * (n - 2) ** 2 // 2 + (n - 1)
+
+
+U64_MAX = 2**64 - 1
+
+
+def last_fitting_order(length):
+    """Largest n whose length(n) fits in 64 bits; length grows with n."""
+    lo, hi = 2, 2
+    while length(hi) <= U64_MAX:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if length(mid) <= U64_MAX else (lo, mid)
+    return lo
+
+
+class TestTriangularLengths:
+    """The three bounds against the constructed rulers and the parity-split closed forms."""
+
+    SAMPLED = [2, 3, 4, 5, 6, 7, 64, 65, 500, 501, 1000, 1999, 2000]
+
+    @pytest.mark.parametrize("n", SAMPLED)
+    def test_bounds_are_the_constructed_lengths(self, n):
+        assert cubic_bound(n) == construct_cubic(n).length() == closed_form_cubic(n)
+        assert half_cubic_bound(n) == construct_half_cubic(n).length() == closed_form_half_cubic(n)
+        if n > 2:
+            shifted = construct_triangular(TriangularParams(order=n, modulus=n - 2))
+            assert shifted_cubic_bound(n) == shifted.length() == closed_form_shifted_cubic(n)
+
+    @pytest.mark.parametrize(
+        "bound,closed_form",
+        [
+            (cubic_bound, closed_form_cubic),
+            (half_cubic_bound, closed_form_half_cubic),
+            (shifted_cubic_bound, closed_form_shifted_cubic),
+        ],
+    )
+    def test_overflow_at_the_first_order_past_64_bits(self, bound, closed_form):
+        n = last_fitting_order(closed_form)
+        assert bound(n) == closed_form(n)
+        message = "value %d outside unsigned 64-bit range" % closed_form(n + 1)
+        with pytest.raises(OverflowError, match="^%s$" % re.escape(message)):
+            bound(n + 1)
+
+    @pytest.mark.parametrize("bound", [cubic_bound, half_cubic_bound, shifted_cubic_bound])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_order_below_two_rejected(self, bound, n):
+        with pytest.raises(ValueError, match="^order must be at least 2, got %d$" % n):
+            bound(n)
 
 
 class TestStarInequality:
