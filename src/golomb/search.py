@@ -15,15 +15,23 @@ already in ``dist``, so ``comp'`` is exact and the kernel visits only
 admissible gaps, lowest first.
 
 The span bounds use G(k), the optimal length of a k-mark ruler, which one
-pass through the orders 2..n works out for k < n, smallest first, with the
-same kernel: mark d lies at most at limit - G(n-d).  It also lies at or
-beyond G(d+1), unchecked: admissible marks 0..d form a (d+1)-mark ruler.
-The marks after mark d are also bounded by S_k(dist), the sum of the k
-smallest positive integers missing from ``dist``: the k = n-1-d gaps after
-mark d are distinct differences that the marks before it have not used, so
-they span at least S_k, and mark d lies at most at limit - max(G(k+1), S_k).
-S_k is summed from the k lowest zero bits of ``dist | 1``.  G(k) prunes near
-the root and S_k deep in the tree, where most small differences are taken.
+pass through the orders works out with the same kernel, smallest first:
+mark d lies at most at limit - G(n-d).  It also lies at or beyond G(d+1),
+unchecked: admissible marks 0..d form a (d+1)-mark ruler.  The k = n-1-d
+gaps after mark d are distinct differences that the marks before it have not
+used, so they span at least S_k(dist), the sum of the k smallest positive
+integers missing from ``dist``.  More strongly, marks d..n-1 form a
+(k+1)-mark ruler whose C(k+1,2) differences are distinct and missing from
+``dist``, so they span at least M, the C(k+1,2)-th smallest positive integer
+missing from ``dist``.  Mark d therefore lies at most at
+limit - max(G(k+1), S_k, M).  S_k is summed from the k lowest zero bits of
+``dist | 1``; M is the least fixpoint of x = C(k+1,2) + |dist & [1, x]|,
+reached from below with ``int.bit_count`` and taken only for k >= 3, where
+it saves more nodes than it costs.  G(k) prunes near the root, S_k and M
+deep in the tree, where most small differences are taken.
+
+Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so proving G(n)
+proves G(2..n-2) first and skips G(n-1).
 
 The incumbent starts at the half-cubic construction, which is always
 feasible.  Mirror symmetry is broken by requiring first gap <= last gap; the
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import (
@@ -100,11 +108,13 @@ class _Search:
     found, the lexicographically smallest, is kept.
     """
 
-    def __init__(self, n: int, spans: Sequence[int], limit: int, deadline: Optional[float]):
+    def __init__(self, n: int, spans: Mapping[int, int], limit: int, deadline: Optional[float]):
         self.n = n
-        self.spans = spans  # spans[k] = G(k) for k < n
-        # Mark d has G(n-d) of span still to come.
-        self.tails = [0] + [spans[n - d] for d in range(1, n)]
+        self.spans = spans  # spans[k] = G(k) for k <= n - 2
+        # Mark d >= 2 has G(n-d) of span still to come, and its n-d marks
+        # from d on have C(n-d, 2) differences; neither is read below d = 2.
+        self.tails = [0, 0] + [spans[n - d] for d in range(2, n)]
+        self.pairs = [(n - d) * (n - d - 1) // 2 for d in range(n)]
         self.limit = limit
         self.deadline = deadline
         self.first_gap = 0
@@ -118,12 +128,14 @@ class _Search:
         The first gap is at most the last gap, and marks 1..n-2 span at
         least G(n-2), so twice the first gap fits in limit - G(n-2); the
         bound is read again after each first gap, as rulers found lower it.
+        It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
+        G(n-2), so the search does without G(n-1).
         """
-        n, spans = self.n, self.spans
+        tail = self.spans[self.n - 2]
         try:
             self._tick()
             gap = 1
-            while gap <= min(self.limit - spans[n - 1], (self.limit - spans[n - 2]) // 2):
+            while gap <= (self.limit - tail) // 2:
                 self.first_gap = gap
                 self._dfs(1, 0, 0, 0, 0, gap)
                 gap += 1
@@ -149,7 +161,7 @@ class _Search:
         dist |= lst
         comp = (comp >> gap) | dist
         d += 1
-        # span still needed after mark d: max(G(k+1), S_k(dist)), k = last - d
+        # span still needed after mark d: max(G(k+1), S_k(dist), M), k = last - d
         tail = self.tails[d]
         free = ~(dist | 1)
         missing = 0
@@ -159,6 +171,18 @@ class _Search:
             missing += bit.bit_length() - 1
         if missing > tail:
             tail = missing
+        if d < last - 2:  # M costs more than it saves for k < 3
+            # M, the m-th positive integer missing from dist: the least fixpoint
+            # of x = m + |dist & [1, x]|, approached from below
+            m = self.pairs[d]
+            x = m
+            while True:
+                y = m + (dist & ((2 << x) - 1)).bit_count()
+                if y == x:
+                    break
+                x = y
+            if x > tail:
+                tail = x
         lo = self.first_gap if d == last else 1  # symmetry: first gap <= last gap
         hi = self.limit - tail - pos
         if hi < lo:
@@ -178,22 +202,22 @@ class _Search:
         self.limit = span - 1
 
 
-def _search_orders(n: int, limit: int, deadline: Optional[float]) -> List[_Search]:
-    """Search the orders 2..n in turn, each bounded by the optima of the smaller ones.
+def _search_orders(orders: Sequence[int], limit: int, deadline: Optional[float]) -> List[_Search]:
+    """Search the given orders in turn, each bounded by the optima of the smaller ones.
 
-    Order n runs under ``limit`` and each smaller order k under
-    half_cubic_bound(k) - 1, so a finished search leaves limit + 1 == G(k)
-    whether or not it beat the half-cubic ruler.  The loop stops after a
-    search that times out.
+    Order k reads G(2..k-2), so each order must follow those.  The last order
+    runs under ``limit`` and every other order k under half_cubic_bound(k) - 1,
+    so a finished search leaves limit + 1 == G(k) whether or not it beat the
+    half-cubic ruler.  The loop stops after a search that times out.
     """
-    spans = [0, 0]  # G(0), G(1)
+    spans = {0: 0, 1: 0}  # G(0), G(1)
     searches = []
-    for k in range(2, n + 1):
-        search = _Search(k, spans, limit if k == n else half_cubic_bound(k) - 1, deadline).run()
+    for k in orders:
+        search = _Search(k, spans, limit if k == orders[-1] else half_cubic_bound(k) - 1, deadline).run()
         searches.append(search)
         if search.timed_out:
             break
-        spans.append(search.limit + 1)
+        spans[k] = search.limit + 1
     return searches
 
 
@@ -218,7 +242,8 @@ def search_optimal(config: SearchConfig) -> SearchResult:
         best = None
         limit = config.initial_upper_bound
 
-    searches = _search_orders(n, limit, deadline)
+    # order n reads G(2..n-2) only, so G(n-1) is not proved
+    searches = _search_orders([*range(2, n - 1), n], limit, deadline)
     last = searches[-1]
     if last.n == n:
         best = last.best or best
@@ -264,7 +289,8 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     top = min(n_max, exact_cutoff)
     optima = {}
     if top >= 2:
-        optima = {s.n: s.limit + 1 for s in _search_orders(top, half_cubic_bound(top) - 1, None)}
+        orders = range(2, top + 1)
+        optima = {s.n: s.limit + 1 for s in _search_orders(orders, half_cubic_bound(top) - 1, None)}
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

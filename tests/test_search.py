@@ -36,7 +36,7 @@ KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
 # nodes_explored of search_optimal, summed over the pass through the orders;
 # a change to a bound updates this table and states the old and new counts
 NODE_COUNTS = {
-    2: 0, 3: 1, 4: 8, 5: 34, 6: 176, 7: 1_190, 8: 7_912, 9: 45_145, 10: 245_133,
+    2: 0, 3: 1, 4: 7, 5: 27, 6: 142, 7: 941, 8: 5_490, 9: 27_132, 10: 133_171,
 }
 
 
@@ -233,7 +233,7 @@ class TestUnusedDifferenceBound:
         assert kernel.best == marks
 
     def test_n10_node_count(self):
-        # about 877 k nodes with the G(k) tails alone
+        # 245 133 nodes with the G(k) and S_k tails alone and G(9) proved
         sequential = search_optimal(SearchConfig(order=10))
         assert sequential.nodes_explored == NODE_COUNTS[10]
         # parallelism selects nothing, so the same search runs
