@@ -34,9 +34,9 @@ Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so proving G(n)
 proves G(2..n-2) first and skips G(n-1).
 
 The incumbent starts at the half-cubic construction, which is always
-feasible.  Mirror symmetry is broken by requiring first gap <= last gap; the
-reported ruler is the lexicographically smallest mark sequence among
-co-minimal ones.
+feasible.  Mirror symmetry is broken by the first-gap bound in
+``_Search.run``; the reported ruler is the lexicographically smallest mark
+sequence among co-minimal ones.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class _Search:
         self.pairs = [(n - d) * (n - d - 1) // 2 for d in range(n)]
         self.limit = limit
         self.deadline = deadline
-        self.first_gap = 0
         self.best: Optional[Tuple[int, ...]] = None
         self.nodes = 0
         self.timed_out = False
@@ -125,9 +124,12 @@ class _Search:
     def run(self) -> "_Search":
         """Explore every ruler under the limit, first gap by first gap.
 
-        The first gap is at most the last gap, and marks 1..n-2 span at
-        least G(n-2), so twice the first gap fits in limit - G(n-2); the
-        bound is read again after each first gap, as rulers found lower it.
+        First gaps run in ascending order under a limit that only falls, so
+        a ruler whose last gap is below its first has its mirror found
+        first, which lowers the limit below its length; an equal last gap
+        repeats a difference.  So the first gap is at most the last gap, and
+        marks 1..n-2 span at least G(n-2), so twice the first gap fits in
+        limit - G(n-2); the bound is read again after each first gap.
         It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
         G(n-2), so the search does without G(n-1).
         """
@@ -136,7 +138,6 @@ class _Search:
             self._tick()
             gap = 1
             while gap <= (self.limit - tail) // 2:
-                self.first_gap = gap
                 self._dfs(1, 0, 0, 0, 0, gap)
                 gap += 1
         except _Timeout:
@@ -183,11 +184,10 @@ class _Search:
                 x = y
             if x > tail:
                 tail = x
-        lo = self.first_gap if d == last else 1  # symmetry: first gap <= last gap
         hi = self.limit - tail - pos
-        if hi < lo:
+        if hi < 1:
             return
-        free = ~comp & ((2 << hi) - (1 << lo))
+        free = ~comp & ((2 << hi) - 2)
         while free:
             bit = free & -free
             gap = bit.bit_length() - 1
