@@ -20,15 +20,15 @@ mark d lies at most at limit - G(n-d).  It also lies at or beyond G(d+1),
 unchecked: admissible marks 0..d form a (d+1)-mark ruler.  The k = n-1-d
 gaps after mark d are distinct differences that the marks before it have not
 used, so they span at least S_k(dist), the sum of the k smallest positive
-integers missing from ``dist``.  More strongly, marks d..n-1 form a
-(k+1)-mark ruler whose C(k+1,2) differences are distinct and missing from
-``dist``, so they span at least M, the C(k+1,2)-th smallest positive integer
-missing from ``dist``.  Mark d therefore lies at most at
-limit - max(G(k+1), S_k, M).  S_k is summed from the k lowest zero bits of
-``dist | 1``; M is the least fixpoint of x = C(k+1,2) + |dist & [1, x]|,
-reached from below with ``int.bit_count`` and taken only for k >= 3, where
-it saves more nodes than it costs.  G(k) prunes near the root, S_k and M
-deep in the tree, where most small differences are taken.
+integers missing from ``dist``.  Also, marks d..n-1 form a (k+1)-mark ruler
+whose C(k+1,2) differences are distinct and missing from ``dist``, so they
+span at least M, the C(k+1,2)-th smallest positive integer missing from
+``dist``.  Mark d therefore lies at most at limit - max(G(k+1), S_k, M);
+neither S_k nor M dominates the other.  S_k is summed from the k lowest zero
+bits of ``dist | 1``, and M comes from a fixpoint on ``int.bit_count``
+(``_nth_missing``), taken only for k >= 3, where it saves more than it
+costs.  G(k) prunes near the root, S_k and M deep in the tree, where most
+small differences are taken.
 
 Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so proving G(n)
 proves G(2..n-2) first and skips G(n-1).
@@ -94,6 +94,20 @@ def _canonical(marks: Tuple[int, ...]) -> Tuple[int, ...]:
     span = marks[-1]
     mirror = tuple(span - m for m in reversed(marks))
     return min(marks, mirror)
+
+
+def _nth_missing(dist: int, m: int) -> int:
+    """The m-th smallest positive integer whose bit is clear in ``dist``.
+
+    It is the least fixpoint of x = m + |dist & [1, x]|, which the iteration
+    from x = m approaches from below.  Bit 0 of ``dist`` must be clear.
+    """
+    x = m
+    while True:
+        y = m + (dist & ((2 << x) - 1)).bit_count()
+        if y == x:
+            return x
+        x = y
 
 
 class _Timeout(Exception):
@@ -173,17 +187,9 @@ class _Search:
         if missing > tail:
             tail = missing
         if d < last - 2:  # M costs more than it saves for k < 3
-            # M, the m-th positive integer missing from dist: the least fixpoint
-            # of x = m + |dist & [1, x]|, approached from below
-            m = self.pairs[d]
-            x = m
-            while True:
-                y = m + (dist & ((2 << x) - 1)).bit_count()
-                if y == x:
-                    break
-                x = y
-            if x > tail:
-                tail = x
+            missing = _nth_missing(dist, self.pairs[d])
+            if missing > tail:
+                tail = missing
         hi = self.limit - tail - pos
         if hi < 1:
             return

@@ -8,12 +8,13 @@ from golomb import (
     InfeasibleBoundError,
     SearchConfig,
     compare_constructions,
+    construct_half_cubic,
     half_cubic_bound,
     lower_bound,
     search_optimal,
     verify_graceful,
 )
-from golomb.search import _canonical, _Search
+from golomb.search import _canonical, _nth_missing, _Search
 
 
 def naive_optimal(n):
@@ -128,14 +129,31 @@ class TestSearchOptimal:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_reaches_sub_searches(self, jobs):
-        # proving G(10) takes about a second on a 2-core host, so the limit
-        # expires in the sub-searches and the half-cubic incumbent comes back
+        # G(2..9) take about 0.04 s and G(10) about 0.2 s on a 2-core host, so
+        # the limit expires in the sub-searches and the half-cubic incumbent
+        # comes back
         start = time.monotonic()
-        result = search_optimal(SearchConfig(order=11, time_limit=0.05, parallelism=jobs))
+        result = search_optimal(SearchConfig(order=12, time_limit=0.05, parallelism=jobs))
         assert time.monotonic() - start < 1.0
         assert not result.optimal
         assert verify_graceful(result.ruler).graceful
-        assert len(result.ruler.marks) == 11
+        assert result.ruler.marks == construct_half_cubic(12).marks
+
+    @pytest.mark.parametrize(
+        "n, orders",
+        [(2, [2]), (3, [3]), (4, [2, 4]), (10, [2, 3, 4, 5, 6, 7, 8, 10])],
+    )
+    def test_order_n_minus_one_is_not_searched(self, monkeypatch, n, orders):
+        searched = []
+        run = _Search.run
+
+        def counting_run(self):
+            searched.append(self.n)
+            return run(self)
+
+        monkeypatch.setattr(_Search, "run", counting_run)
+        assert search_optimal(SearchConfig(order=n)).optimal
+        assert searched == orders
 
     @pytest.mark.parametrize("jobs", [2, 4, 8])
     def test_parallel_matches_sequential(self, jobs):
@@ -214,6 +232,16 @@ def missing_sum(used, k):
     return total
 
 
+def nth_missing(used, m):
+    """M: the m-th smallest positive integer not in ``used`` (0 for m = 0)."""
+    candidate = 0
+    for _ in range(m):
+        candidate += 1
+        while candidate in used:
+            candidate += 1
+    return candidate
+
+
 class TestUnusedDifferenceBound:
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=9))
     def test_bound_holds_on_every_prefix(self, gaps):
@@ -222,6 +250,27 @@ class TestUnusedDifferenceBound:
         for d in range(1, n - 1):  # prefix marks[:d], next mark d
             used = {b - a for i, a in enumerate(marks[:d]) for b in marks[i + 1 : d]}
             assert missing_sum(used, n - 1 - d) <= marks[-1] - marks[d]
+
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=11))
+    def test_all_differences_bound_holds_on_every_prefix(self, gaps):
+        marks = golomb_prefix(gaps)
+        n = len(marks)
+        for d in range(1, n - 1):  # prefix marks[:d], tail marks[d:]
+            used = {b - a for i, a in enumerate(marks[:d]) for b in marks[i + 1 : d]}
+            tail_pairs = (n - d) * (n - d - 1) // 2
+            assert nth_missing(used, tail_pairs) <= marks[-1] - marks[d]
+
+    @given(
+        st.one_of(
+            st.integers(min_value=0, max_value=2**300),
+            st.sets(st.integers(1, 200)).map(lambda used: sum(1 << u for u in used)),
+        ),
+        st.integers(min_value=0, max_value=120),
+    )
+    def test_nth_missing_matches_brute_force(self, bits, m):
+        dist = bits & ~1  # differences are positive
+        used = {i for i in range(dist.bit_length()) if dist >> i & 1}
+        assert _nth_missing(dist, m) == nth_missing(used, m)
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=9))
     def test_kernel_reaches_a_ruler_at_its_own_length(self, gaps):
