@@ -147,11 +147,11 @@ class _Search:
         It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
         G(n-2), so the search does without G(n-1).
         """
-        tail = self.spans[self.n - 2]
+        inner = self.spans[self.n - 2]
         try:
             self._tick()
             gap = 1
-            while gap <= (self.limit - tail) // 2:
+            while gap <= (self.limit - inner) // 2:
                 self._dfs(1, 0, 0, 0, 0, gap)
                 gap += 1
         except _Timeout:
@@ -230,9 +230,10 @@ def _search_orders(orders: Sequence[int], limit: int, deadline: Optional[float])
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    One pass through the orders 2..n proves G(k) for every k < n with the
-    same kernel, then runs branch-and-bound at order n from the half-cubic
-    construction (or the supplied bound); nodes are summed over the pass.
+    One pass through the orders proves G(2..n-2), all that order n reads,
+    with the same kernel, then runs branch-and-bound at order n from the
+    half-cubic construction (or the supplied bound); nodes are summed over
+    the pass.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
     expires, at order n or a smaller one, the best incumbent so far is
@@ -248,7 +249,6 @@ def search_optimal(config: SearchConfig) -> SearchResult:
         best = None
         limit = config.initial_upper_bound
 
-    # order n reads G(2..n-2) only, so G(n-1) is not proved
     searches = _search_orders([*range(2, n - 1), n], limit, deadline)
     last = searches[-1]
     if last.n == n:
