@@ -39,7 +39,6 @@ from .constructions import (
 )
 from .search import (
     BenchRow,
-    InfeasibleBoundError,
     SearchConfig,
     SearchResult,
     compare_constructions,
@@ -52,7 +51,6 @@ __all__ = [
     "CollisionWitness",
     "DifferenceTriangle",
     "GracefulnessReport",
-    "InfeasibleBoundError",
     "QuadraticFamilyParams",
     "ResidueForm",
     "Ruler",

@@ -42,6 +42,7 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
 SEARCH_MAX_ORDER = 15
+BENCH_MAX_ORDER = 10_000  # bench holds every row of its table before printing any
 RULER_MAX_ORDER = 2000  # construct, verify and triangle hold all C(n,2) differences
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
 _TERMS_PER_WRITE = 4096  # counterexample writes its sequence this many terms at a time
@@ -112,6 +113,8 @@ def _check_order(n: int) -> None:
 def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
     if method == "triangular" and modulus is None:
         raise UsageError("--modulus is required for --method triangular")
+    if method != "triangular" and modulus is not None:
+        raise UsageError("--modulus only applies to --method triangular")
     _check_order(n)
     build, _ = METHODS[method]
     return build(n, modulus)
@@ -120,8 +123,6 @@ def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
 def cmd_construct(args) -> int:
     method = args.method
     n = args.n
-    if method != "triangular" and args.modulus is not None:
-        raise UsageError("--modulus only applies to --method triangular")
     ruler = _build(method, n, args.modulus)
     report = verify_graceful(ruler)
     extra = {
@@ -184,11 +185,11 @@ def cmd_verify(args) -> int:
         report = verify_graceful(ruler)
         if not report.graceful:
             worst = EXIT_NOT_GRACEFUL
-        results.append((raw, ruler, shift, report))
+        results.append((ruler, shift, report))
 
     if args.format == "json":
         objs = []
-        for raw, ruler, shift, report in results:
+        for ruler, shift, report in results:
             obj = {"schema": SCHEMA, "marks": list(ruler.marks), "graceful": report.graceful}
             if shift:
                 obj["normalized_shift"] = shift
@@ -197,7 +198,7 @@ def cmd_verify(args) -> int:
             objs.append(obj)
         _emit(objs[0] if args.file is None else {"schema": SCHEMA, "results": objs})
     else:
-        for raw, ruler, shift, report in results:
+        for ruler, shift, report in results:
             extra = {"marks": list(ruler.marks)}
             if shift:
                 extra["normalized"] = "shifted by -%d" % shift
@@ -264,6 +265,8 @@ BENCH_COLUMNS = [field.name for field in fields(BenchRow)]
 def cmd_bench(args) -> int:
     if min(args.n_max, args.exact_cutoff) > SEARCH_MAX_ORDER:
         raise UsageError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
+    if args.n_max > BENCH_MAX_ORDER:
+        raise UsageError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
     if args.format == "json":
         _emit({"schema": SCHEMA, "rows": [asdict(r) for r in rows]})

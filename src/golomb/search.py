@@ -35,8 +35,10 @@ proves G(2..n-2) first and skips G(n-1).
 
 The incumbent starts at the half-cubic construction, which is always
 feasible.  Mirror symmetry is broken by the first-gap bound in
-``_Search.run``; the reported ruler is the lexicographically smallest mark
-sequence among co-minimal ones.
+``_Search.run``, and the first-gap order yields the canonical ruler
+directly: every ruler it records has its first gap below its last, so the
+reported ruler is the lexicographically smallest mark sequence among
+co-minimal ones.
 """
 
 from __future__ import annotations
@@ -57,25 +59,15 @@ from .constructions import (
 _TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
 
 
-class InfeasibleBoundError(Exception):
-    """The supplied upper bound is below the true optimum: space exhausted."""
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     order: int
-    initial_upper_bound: Optional[int] = None
     time_limit: Optional[float] = None  # seconds
     parallelism: int = 1  # accepted for compatibility; the search runs on one thread
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("order must be at least 2, got %d" % self.order)
-        if self.initial_upper_bound is not None and self.initial_upper_bound < lower_bound(self.order):
-            raise ValueError(
-                "initial_upper_bound %d below the C(n,2) lower bound %d"
-                % (self.initial_upper_bound, lower_bound(self.order))
-            )
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 
@@ -87,13 +79,6 @@ class SearchResult:
     optimal: bool
     nodes_explored: int
     elapsed: float
-
-
-def _canonical(marks: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Lexicographically smaller of a ruler and its mirror image."""
-    span = marks[-1]
-    mirror = tuple(span - m for m in reversed(marks))
-    return min(marks, mirror)
 
 
 def _nth_missing(dist: int, m: int) -> int:
@@ -141,9 +126,10 @@ class _Search:
         First gaps run in ascending order under a limit that only falls, so
         a ruler whose last gap is below its first has its mirror found
         first, which lowers the limit below its length; an equal last gap
-        repeats a difference.  So the first gap is at most the last gap, and
-        marks 1..n-2 span at least G(n-2), so twice the first gap fits in
-        limit - G(n-2); the bound is read again after each first gap.
+        repeats a difference.  So every recorded ruler has its first gap
+        below its last and is canonical as found.  Marks 1..n-2 span at
+        least G(n-2), so twice the first gap fits in limit - G(n-2); the
+        bound is read again after each first gap.
         It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
         G(n-2), so the search does without G(n-1).
         """
@@ -203,23 +189,22 @@ class _Search:
             free ^= bit
 
     def _record(self, span: int, lst: int) -> None:
-        marks = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
-        self.best = _canonical(marks)
+        self.best = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
         self.limit = span - 1
 
 
-def _search_orders(orders: Sequence[int], limit: int, deadline: Optional[float]) -> List[_Search]:
+def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Search]:
     """Search the given orders in turn, each bounded by the optima of the smaller ones.
 
-    Order k reads G(2..k-2), so each order must follow those.  The last order
-    runs under ``limit`` and every other order k under half_cubic_bound(k) - 1,
-    so a finished search leaves limit + 1 == G(k) whether or not it beat the
-    half-cubic ruler.  The loop stops after a search that times out.
+    Order k reads G(2..k-2), so each order must follow those.  Every order k
+    runs under half_cubic_bound(k) - 1, so a finished search leaves
+    limit + 1 == G(k) whether or not it beat the half-cubic ruler.  The loop
+    stops after a search that times out.
     """
     spans = {0: 0, 1: 0}  # G(0), G(1)
     searches = []
     for k in orders:
-        search = _Search(k, spans, limit if k == orders[-1] else half_cubic_bound(k) - 1, deadline).run()
+        search = _Search(k, spans, half_cubic_bound(k) - 1, deadline).run()
         searches.append(search)
         if search.timed_out:
             break
@@ -232,8 +217,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
 
     One pass through the orders proves G(2..n-2), all that order n reads,
     with the same kernel, then runs branch-and-bound at order n from the
-    half-cubic construction (or the supplied bound); nodes are summed over
-    the pass.
+    half-cubic construction; nodes are summed over the pass.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
     expires, at order n or a smaller one, the best incumbent so far is
@@ -243,23 +227,9 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    best: Optional[Tuple[int, ...]] = construct_half_cubic(n).marks
-    limit = best[-1] - 1
-    if config.initial_upper_bound is not None and best[-1] > config.initial_upper_bound:
-        best = None
-        limit = config.initial_upper_bound
-
-    searches = _search_orders([*range(2, n - 1), n], limit, deadline)
+    searches = _search_orders([*range(2, n - 1), n], deadline)
     last = searches[-1]
-    if last.n == n:
-        best = last.best or best
-
-    if best is None:
-        if last.timed_out:
-            raise TimeoutError("time limit expired before any ruler was found")
-        raise InfeasibleBoundError(
-            "no ruler of order %d fits under length %d" % (n, config.initial_upper_bound)
-        )
+    best = (last.n == n and last.best) or construct_half_cubic(n).marks
     return SearchResult(
         ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
         nodes_explored=sum(search.nodes for search in searches),
@@ -296,7 +266,7 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     optima = {}
     if top >= 2:
         orders = range(2, top + 1)
-        optima = {s.n: s.limit + 1 for s in _search_orders(orders, half_cubic_bound(top) - 1, None)}
+        optima = {s.n: s.limit + 1 for s in _search_orders(orders, None)}
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

@@ -187,6 +187,12 @@ class TestTriangle:
         code, _, _ = run(capsys, "triangle", "0")
         assert code == 2
 
+    def test_modulus_rejected_elsewhere(self, capsys):
+        code, out, err = run(capsys, "triangle", "--method", "cubic", "--n", "4", "--modulus", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --modulus only applies to --method triangular\n"
+
 
 class TestSearch:
     def test_n5(self, capsys):
@@ -282,6 +288,25 @@ class TestBench:
     def test_bad_n_max(self, capsys):
         code, _, _ = run(capsys, "bench", "--n-max", "1")
         assert code == 2
+
+    def test_n_max_above_the_cap_is_refused_before_building(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built the table")
+
+        monkeypatch.setattr(cli, "compare_constructions", fail)
+        above = cli.BENCH_MAX_ORDER + 1
+        code, out, err = run(capsys, "bench", "--n-max", str(above), "--exact-cutoff", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n-max %d is above the cap of %d\n" % (above, cli.BENCH_MAX_ORDER)
+
+    def test_n_max_at_the_cap(self, capsys):
+        cap = cli.BENCH_MAX_ORDER
+        code, out, _ = run(capsys, "bench", "--n-max", str(cap), "--exact-cutoff", "0", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == cap  # the header and orders 2..cap
+        assert lines[-1].split(",")[:3] == [str(cap), str(golomb.lower_bound(cap)), "?"]
 
 
 class TestCounterexample:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from golomb import (
-    InfeasibleBoundError,
     SearchConfig,
     compare_constructions,
     construct_half_cubic,
@@ -14,7 +13,7 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb.search import _canonical, _nth_missing, _Search
+from golomb.search import _nth_missing, _Search, _search_orders
 
 
 def naive_optimal(n):
@@ -85,22 +84,35 @@ class TestSearchOptimal:
             marks = search_optimal(SearchConfig(order=n)).ruler.marks
             assert marks[1] - marks[0] <= marks[-1] - marks[-2]
 
-    def test_supplied_bound_exact(self):
-        result = search_optimal(SearchConfig(order=5, initial_upper_bound=11))
-        assert result.optimal and result.length == 11
+    @pytest.mark.parametrize(
+        "n, time_limit",
+        [(n, None) for n in range(2, 11)] + [(n, t) for n in (11, 12) for t in (0.05, 0.3)],
+    )
+    def test_every_recorded_ruler_is_canonical(self, monkeypatch, n, time_limit):
+        # the first-gap order alone keeps mirror images out; nothing canonicalizes
+        recorded = []
+        record = _Search._record
 
-    def test_infeasible_bound(self):
-        with pytest.raises(InfeasibleBoundError):
-            search_optimal(SearchConfig(order=5, initial_upper_bound=10))
+        def keeping_record(self, span, lst):
+            record(self, span, lst)
+            recorded.append(self.best)
 
-    def test_supplied_bound_exact_n9(self):
-        result = search_optimal(SearchConfig(order=9, initial_upper_bound=44))
-        assert result.optimal
-        assert result.ruler.marks == (0, 1, 5, 12, 25, 27, 35, 41, 44)
+        monkeypatch.setattr(_Search, "_record", keeping_record)
+        search_optimal(SearchConfig(order=n, time_limit=time_limit))
+        assert recorded or n <= 3  # the half-cubic ruler is optimal at n = 2, 3
+        for marks in recorded:
+            assert marks[1] - marks[0] < marks[-1] - marks[-2], marks
 
-    def test_infeasible_bound_n9(self):
-        with pytest.raises(InfeasibleBoundError):
-            search_optimal(SearchConfig(order=9, initial_upper_bound=43))
+    @pytest.mark.parametrize(
+        "n, marks", [(5, (0, 1, 4, 9, 11)), (9, (0, 1, 5, 12, 25, 27, 35, 41, 44))]
+    )
+    def test_search_is_exhaustive_at_the_optimum(self, n, marks):
+        spans = {0: 0, 1: 0, **{s.n: s.limit + 1 for s in _search_orders(range(2, n - 1), None)}}
+        below = _Search(n, spans, marks[-1] - 1, None).run()
+        assert not below.timed_out
+        assert below.best is None
+        at = _Search(n, spans, marks[-1], None).run()
+        assert at.best == marks
 
     @pytest.mark.parametrize("n", sorted(NODE_COUNTS))
     def test_node_count(self, n):
@@ -110,10 +122,6 @@ class TestSearchOptimal:
         result = search_optimal(SearchConfig(order=10))
         assert result.optimal
         assert result.ruler.marks == (0, 1, 6, 10, 23, 26, 34, 41, 53, 55)
-
-    def test_bound_below_lower_bound_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(order=5, initial_upper_bound=9)
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):
@@ -162,6 +170,12 @@ class TestSearchOptimal:
         assert par.optimal
         assert par.length == seq.length
         assert par.ruler.marks == seq.ruler.marks
+
+
+def canonical(marks):
+    """The lexicographically smaller of a ruler and its mirror image."""
+    mirror = tuple(marks[-1] - m for m in reversed(marks))
+    return min(tuple(marks), mirror)
 
 
 def is_golomb(marks):
@@ -274,7 +288,7 @@ class TestUnusedDifferenceBound:
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=9))
     def test_kernel_reaches_a_ruler_at_its_own_length(self, gaps):
-        marks = _canonical(tuple(golomb_prefix(gaps)))
+        marks = canonical(golomb_prefix(gaps))
         assume(len(marks) >= 3)
         path = [b - a for a, b in zip(marks, marks[1:])]
         kernel = PathSearch(len(marks), path, limit=marks[-1])
