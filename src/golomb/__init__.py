@@ -6,6 +6,8 @@ Library layout:
 * :mod:`golomb.constructions` -- explicit ruler families and the
   quadratic-impossibility collision engine.
 * :mod:`golomb.search` -- exact branch-and-bound optimum and benchmarking.
+* :mod:`golomb.tails` -- builds and checks the search's tail table,
+  ``tails.bin`` (a maintenance tool).
 * :mod:`golomb.cli` -- command-line front end.
 """
 

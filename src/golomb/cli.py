@@ -216,6 +216,8 @@ def cmd_triangle(args) -> int:
     else:
         if not args.marks:
             raise UsageError("no marks given")
+        if args.n is not None or args.modulus is not None:
+            raise UsageError("--n and --modulus only apply with --method")
         ruler, _ = _normalize_marks(args.marks)
     if ruler.order < 2:
         raise UsageError("triangle needs at least 2 marks")
@@ -263,6 +265,8 @@ BENCH_COLUMNS = [field.name for field in fields(BenchRow)]
 
 
 def cmd_bench(args) -> int:
+    if args.exact_cutoff < 0:
+        raise UsageError("--exact-cutoff must be at least 0, got %d" % args.exact_cutoff)
     if min(args.n_max, args.exact_cutoff) > SEARCH_MAX_ORDER:
         raise UsageError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
     if args.n_max > BENCH_MAX_ORDER:

@@ -30,6 +30,16 @@ bits of ``dist | 1``, and M comes from a fixpoint on ``int.bit_count``
 costs.  G(k) prunes near the root, S_k and M deep in the tree, where most
 small differences are taken.
 
+The fourth tail term is a table.  The differences of marks d..n-1 avoid
+``dist``, so they avoid F, the differences 1..16 in ``dist`` (key
+``(dist >> 1) & 0xFFFF``).  So the tail spans at least T_k(F), the shortest
+span of a (k+1)-mark ruler with no difference in F.  ``tails.bin`` holds
+T_k(F) exactly for k = 2..5 and every F; ``golomb.tails`` builds it, and the
+first search reads it.  T_k(F) >= T_k({}) = G(k+1), and at n = 10 it is
+also at least S_k and M at all but 0.1% of the nodes with 2 <= k <= 5, so
+there the kernel takes T_k(F) alone: computing S_k and M costs more than
+the few nodes they would cut.
+
 Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so proving G(n)
 proves G(2..n-2) first and skips G(n-1).
 
@@ -43,6 +53,8 @@ co-minimal ones.
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -57,6 +69,7 @@ from .constructions import (
 )
 
 _TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
+_KEY_MASK = 0xFFFF  # the differences 1..16 of ``dist`` that key the tail table
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,13 @@ def _nth_missing(dist: int, m: int) -> int:
         x = y
 
 
+@functools.cache
+def _tail_table() -> memoryview:
+    """T_k(F) for k = 2..5, 65 536 bytes per k; ``golomb.tails`` builds the file."""
+    with open(os.path.join(os.path.dirname(__file__), "tails.bin"), "rb") as fh:
+        return memoryview(fh.read())
+
+
 class _Timeout(Exception):
     """Unwinds the kernel when the deadline has passed."""
 
@@ -113,6 +133,13 @@ class _Search:
         # Mark d >= 2 has G(n-d) of span still to come, and its n-d marks
         # from d on have C(n-d, 2) differences; neither is read below d = 2.
         self.tails = [0, 0] + [spans[n - d] for d in range(2, n)]
+        # blocks[d] maps the key of dist to T_k for mark d, k = n-1-d, or is
+        # None where the table holds no T_k
+        table = _tail_table()
+        self.blocks = [
+            table[(k - 2) << 16:(k - 1) << 16] if 2 <= k <= 5 else None
+            for k in range(n - 1, -1, -1)
+        ]
         self.pairs = [(n - d) * (n - d - 1) // 2 for d in range(n)]
         self.limit = limit
         self.deadline = deadline
@@ -162,20 +189,25 @@ class _Search:
         dist |= lst
         comp = (comp >> gap) | dist
         d += 1
-        # span still needed after mark d: max(G(k+1), S_k(dist), M), k = last - d
-        tail = self.tails[d]
-        free = ~(dist | 1)
-        missing = 0
-        for _ in range(last - d):
-            bit = free & -free
-            free ^= bit
-            missing += bit.bit_length() - 1
-        if missing > tail:
-            tail = missing
-        if d < last - 2:  # M costs more than it saves for k < 3
-            missing = _nth_missing(dist, self.pairs[d])
+        # span still needed after mark d, k = last - d: T_k(F) where the
+        # table holds it, else max(G(k+1), S_k(dist), M)
+        block = self.blocks[d]
+        if block is not None:
+            tail = block[(dist >> 1) & _KEY_MASK]
+        else:
+            tail = self.tails[d]
+            free = ~(dist | 1)
+            missing = 0
+            for _ in range(last - d):
+                bit = free & -free
+                free ^= bit
+                missing += bit.bit_length() - 1
             if missing > tail:
                 tail = missing
+            if d < last - 2:  # M costs more than it saves for k < 3
+                missing = _nth_missing(dist, self.pairs[d])
+                if missing > tail:
+                    tail = missing
         hi = self.limit - tail - pos
         if hi < 1:
             return

@@ -193,6 +193,15 @@ class TestTriangle:
         assert out == ""
         assert err == "error: --modulus only applies to --method triangular\n"
 
+    @pytest.mark.parametrize(
+        "flags", [["--modulus", "3"], ["--n", "9"], ["--n", "3", "--modulus", "1"]]
+    )
+    def test_n_and_modulus_rejected_with_marks(self, capsys, flags):
+        code, out, err = run(capsys, "triangle", "0", "1", "3", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n and --modulus only apply with --method\n"
+
 
 class TestSearch:
     def test_n5(self, capsys):
@@ -284,6 +293,12 @@ class TestBench:
             code, out, _ = run(capsys, "bench", "--n-max", n_max, "--exact-cutoff", cutoff, "--format", "csv")
             assert code == 0
             assert out.strip().splitlines()[-1].split(",")[:3] == last
+
+    def test_negative_exact_cutoff_is_refused(self, capsys):
+        code, out, err = run(capsys, "bench", "--n-max", "5", "--exact-cutoff", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --exact-cutoff must be at least 0, got -3\n"
 
     def test_bad_n_max(self, capsys):
         code, _, _ = run(capsys, "bench", "--n-max", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb.search import _nth_missing, _Search, _search_orders
+from golomb.search import _nth_missing, _Search, _search_orders, _tail_table
 
 
 def naive_optimal(n):
@@ -31,12 +32,15 @@ def naive_optimal(n):
     return best
 
 
+# sha256 of src/golomb/tails.bin; ``python -m golomb.tails --check`` rebuilds it
+TAILS_SHA256 = "303f1275f34e7f13497ff80a637300dee01b8bab350658c22f19d8c5e52f84bb"
+
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
 
 # nodes_explored of search_optimal, summed over the pass through the orders;
 # a change to a bound updates this table and states the old and new counts
 NODE_COUNTS = {
-    2: 0, 3: 1, 4: 7, 5: 27, 6: 142, 7: 941, 8: 5_490, 9: 27_132, 10: 133_171,
+    2: 0, 3: 1, 4: 7, 5: 24, 6: 101, 7: 473, 8: 1_921, 9: 7_148, 10: 42_503,
 }
 
 
@@ -137,11 +141,11 @@ class TestSearchOptimal:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_reaches_sub_searches(self, jobs):
-        # G(2..9) take about 0.04 s and G(10) about 0.2 s on a 2-core host, so
-        # the limit expires in the sub-searches and the half-cubic incumbent
-        # comes back
+        # G(2..9) take about 0.012 s and G(10) about 0.05 s on a 2-core host,
+        # so the limit expires in the sub-searches and the half-cubic
+        # incumbent comes back
         start = time.monotonic()
-        result = search_optimal(SearchConfig(order=12, time_limit=0.05, parallelism=jobs))
+        result = search_optimal(SearchConfig(order=12, time_limit=0.01, parallelism=jobs))
         assert time.monotonic() - start < 1.0
         assert not result.optimal
         assert verify_graceful(result.ruler).graceful
@@ -303,6 +307,55 @@ class TestUnusedDifferenceBound:
         jobs2 = search_optimal(SearchConfig(order=10, parallelism=2))
         assert jobs2.nodes_explored == sequential.nodes_explored
         assert jobs2.ruler.marks == sequential.ruler.marks
+
+
+def table_tail(k, used):
+    """T_k from the checked-in table, keyed by the differences 1..16 in ``used``."""
+    key = sum(1 << (u - 1) for u in used if 1 <= u <= 16)
+    return _tail_table()[(k - 2) << 16 | key]
+
+
+def shortest_avoiding(k, forbidden):
+    """T_k by brute force: the shortest (k+1)-mark ruler with no difference in ``forbidden``."""
+    span = k
+    while True:
+        for inner in combinations(range(1, span), k - 1):
+            marks = (0,) + inner + (span,)
+            if is_golomb(marks) and not any(b - a in forbidden for a, b in combinations(marks, 2)):
+                return span
+        span += 1
+
+
+class TestTailTable:
+    """T_k(F), the shortest (k+1)-mark ruler avoiding F, read from ``tails.bin``."""
+
+    # gaps up to 16 keep tails near the shortest, where an entry too high shows
+    @given(st.lists(st.integers(min_value=1, max_value=16), min_size=3, max_size=11))
+    def test_bound_holds_on_every_prefix(self, gaps):
+        marks = golomb_prefix(gaps)
+        n = len(marks)
+        for d in range(max(0, n - 6), n - 2):  # prefix marks[:d], tail marks[d:] of k + 1 marks
+            k, span = n - 1 - d, marks[-1] - marks[d]
+            used = {b - a for i, a in enumerate(marks[:d]) for b in marks[i + 1 : d]}
+            assert table_tail(k, used) <= span
+            # the tail also avoids every difference it does not use itself
+            own = {b - a for a, b in combinations(marks[d:], 2)}
+            assert table_tail(k, set(range(1, 17)) - own) <= span
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(key=st.integers(min_value=0, max_value=0xFFFF))
+    def test_matches_brute_force(self, k, key):
+        forbidden = {i + 1 for i in range(16) if key >> i & 1}
+        assert table_tail(k, forbidden) == shortest_avoiding(k, forbidden)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_no_forbidden_difference_gives_the_optimum(self, k):
+        assert table_tail(k, set()) == KNOWN_OPTIMA[k + 1]
+
+    def test_file_is_pinned(self):
+        data = bytes(_tail_table())
+        assert len(data) == 4 * 65_536
+        assert hashlib.sha256(data).hexdigest() == TAILS_SHA256
 
 
 class TestCompareConstructions:
