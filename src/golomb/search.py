@@ -14,10 +14,11 @@ leaves out of ``comp'`` are differences between earlier marks, which are
 already in ``dist``, so ``comp'`` is exact and the kernel visits only
 admissible gaps, lowest first.
 
-The span bounds use G(k), the optimal length of a k-mark ruler, which one
-pass through the orders works out with the same kernel, smallest first:
-mark d lies at most at limit - G(n-d).  It also lies at or beyond G(d+1),
-unchecked: admissible marks 0..d form a (d+1)-mark ruler.  The k = n-1-d
+The span bounds use G(k), the optimal length of a k-mark ruler, which the
+tail table below gives for k <= 8 and one pass through the larger orders
+works out with the same kernel, smallest first: mark d lies at most at
+limit - G(n-d).  It also lies at or beyond G(d+1), unchecked: admissible
+marks 0..d form a (d+1)-mark ruler.  The k = n-1-d
 gaps after mark d are distinct differences that the marks before it have not
 used, so they span at least S_k(dist), the sum of the k smallest positive
 integers missing from ``dist``.  Also, marks d..n-1 form a (k+1)-mark ruler
@@ -34,14 +35,15 @@ The fourth tail term is a table.  The differences of marks d..n-1 avoid
 ``dist``, so they avoid F, the differences 1..16 in ``dist`` (key
 ``(dist >> 1) & 0xFFFF``).  So the tail spans at least T_k(F), the shortest
 span of a (k+1)-mark ruler with no difference in F.  ``tails.bin`` holds
-T_k(F) exactly for k = 2..5 and every F; ``golomb.tails`` builds it, and the
+T_k(F) exactly for k = 2..7 and every F; ``golomb.tails`` builds it, and the
 first search reads it.  T_k(F) >= T_k({}) = G(k+1), and at n = 10 it is
 also at least S_k and M at all but 0.1% of the nodes with 2 <= k <= 5, so
-there the kernel takes T_k(F) alone: computing S_k and M costs more than
-the few nodes they would cut.
+for every k the table holds the kernel takes T_k(F) alone: computing S_k
+and M costs more than the few nodes they would cut.
 
-Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so proving G(n)
-proves G(2..n-2) first and skips G(n-1).
+Since the table is exact, T_k({}) = G(k+1) also settles G(3..8) without a
+search.  Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so
+proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
 
 The incumbent starts at the half-cubic construction, which is always
 feasible.  Mirror symmetry is broken by the first-gap bound in
@@ -57,7 +59,7 @@ import functools
 import os
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import (
@@ -109,10 +111,22 @@ def _nth_missing(dist: int, m: int) -> int:
 
 
 @functools.cache
-def _tail_table() -> memoryview:
-    """T_k(F) for k = 2..5, 65 536 bytes per k; ``golomb.tails`` builds the file."""
+def _tail_blocks() -> Tuple[Optional[memoryview], ...]:
+    """T_k(F) by k: block k maps the key of F to T_k(F), and is None for k < 2.
+
+    ``tails.bin``, which ``golomb.tails`` builds, holds one 65 536-byte block
+    per k from k = 2 on; its length alone says how far k goes.
+    """
     with open(os.path.join(os.path.dirname(__file__), "tails.bin"), "rb") as fh:
-        return memoryview(fh.read())
+        table = memoryview(fh.read())
+    size = _KEY_MASK + 1
+    return (None, None) + tuple(table[i:i + size] for i in range(0, len(table), size))
+
+
+def _settled_optima() -> Dict[int, int]:
+    """G(k) for every k the tail table settles: G(0..2), and G(k+1) = T_k({})."""
+    blocks = _tail_blocks()
+    return {0: 0, 1: 0, 2: 1, **{k + 1: blocks[k][0] for k in range(2, len(blocks))}}
 
 
 class _Timeout(Exception):
@@ -135,11 +149,8 @@ class _Search:
         self.tails = [0, 0] + [spans[n - d] for d in range(2, n)]
         # blocks[d] maps the key of dist to T_k for mark d, k = n-1-d, or is
         # None where the table holds no T_k
-        table = _tail_table()
-        self.blocks = [
-            table[(k - 2) << 16:(k - 1) << 16] if 2 <= k <= 5 else None
-            for k in range(n - 1, -1, -1)
-        ]
+        blocks = _tail_blocks()
+        self.blocks = [blocks[k] if k < len(blocks) else None for k in range(n - 1, -1, -1)]
         self.pairs = [(n - d) * (n - d - 1) // 2 for d in range(n)]
         self.limit = limit
         self.deadline = deadline
@@ -225,15 +236,22 @@ class _Search:
         self.limit = span - 1
 
 
+def _unsettled(orders: Sequence[int]) -> List[int]:
+    """The orders among ``orders`` whose optimum the tail table does not settle."""
+    settled = _settled_optima()
+    return [k for k in orders if k not in settled]
+
+
 def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Search]:
     """Search the given orders in turn, each bounded by the optima of the smaller ones.
 
-    Order k reads G(2..k-2), so each order must follow those.  Every order k
-    runs under half_cubic_bound(k) - 1, so a finished search leaves
-    limit + 1 == G(k) whether or not it beat the half-cubic ruler.  The loop
-    stops after a search that times out.
+    Order k reads G(2..k-2), which the tail table settles or an earlier
+    order in ``orders`` proves.  Every order k runs under
+    half_cubic_bound(k) - 1, so a finished search leaves limit + 1 == G(k)
+    whether or not it beat the half-cubic ruler.  The loop stops after a
+    search that times out.
     """
-    spans = {0: 0, 1: 0}  # G(0), G(1)
+    spans = _settled_optima()
     searches = []
     for k in orders:
         search = _Search(k, spans, half_cubic_bound(k) - 1, deadline).run()
@@ -247,9 +265,10 @@ def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Se
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    One pass through the orders proves G(2..n-2), all that order n reads,
-    with the same kernel, then runs branch-and-bound at order n from the
-    half-cubic construction; nodes are summed over the pass.
+    Order n reads G(2..n-2).  The tail table gives G(3..8); one pass
+    through the orders proves the rest with the same kernel, then runs
+    branch-and-bound at order n from the half-cubic construction; nodes are
+    summed over the pass.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
     expires, at order n or a smaller one, the best incumbent so far is
@@ -259,7 +278,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    searches = _search_orders([*range(2, n - 1), n], deadline)
+    searches = _search_orders([*_unsettled(range(2, n - 1)), n], deadline)
     last = searches[-1]
     best = (last.n == n and last.best) or construct_half_cubic(n).marks
     return SearchResult(
@@ -288,24 +307,22 @@ class BenchRow:
 def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     """Tabulate construction lengths against C(n,2) and the exact optimum.
 
-    The optimum column is filled for n up to exact_cutoff from one pass of
-    exact search through the orders, each order proved once, and left
-    unknown (None) beyond it.
+    The optimum column is filled for n up to exact_cutoff and left unknown
+    (None) beyond it.  The tail table gives G(3..8); one pass of exact
+    search through the orders above 8 proves each of them once.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2, got %d" % n_max)
     top = min(n_max, exact_cutoff)
-    optima = {}
-    if top >= 2:
-        orders = range(2, top + 1)
-        optima = {s.n: s.limit + 1 for s in _search_orders(orders, None)}
+    searches = _search_orders(_unsettled(range(2, top + 1)), None)
+    optima = {**_settled_optima(), **{s.n: s.limit + 1 for s in searches}}
     rows = []
     for n in range(2, n_max + 1):
         rows.append(
             BenchRow(
                 n=n,
                 lower_bound=lower_bound(n),
-                optimal=optima.get(n),
+                optimal=optima.get(n) if n <= top else None,
                 pow2=pow2_bound(n),
                 thm1=cubic_bound(n),
                 thm1_nminus2=shifted_cubic_bound(n),

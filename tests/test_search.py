@@ -14,7 +14,13 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb.search import _nth_missing, _Search, _search_orders, _tail_table
+from golomb.search import (
+    _nth_missing,
+    _Search,
+    _search_orders,
+    _settled_optima,
+    _tail_blocks,
+)
 
 
 def naive_optimal(n):
@@ -33,14 +39,14 @@ def naive_optimal(n):
 
 
 # sha256 of src/golomb/tails.bin; ``python -m golomb.tails --check`` rebuilds it
-TAILS_SHA256 = "303f1275f34e7f13497ff80a637300dee01b8bab350658c22f19d8c5e52f84bb"
+TAILS_SHA256 = "ca98c1c541815e7ebec8fef71b6b47fe29014e4a9f8b94e89ab5140fb8cefa4f"
 
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
 
 # nodes_explored of search_optimal, summed over the pass through the orders;
 # a change to a bound updates this table and states the old and new counts
 NODE_COUNTS = {
-    2: 0, 3: 1, 4: 7, 5: 24, 6: 101, 7: 473, 8: 1_921, 9: 7_148, 10: 42_503,
+    2: 0, 3: 1, 4: 7, 5: 23, 6: 93, 7: 442, 8: 1_797, 9: 5_954, 10: 26_848,
 }
 
 
@@ -141,9 +147,9 @@ class TestSearchOptimal:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_reaches_sub_searches(self, jobs):
-        # G(2..9) take about 0.012 s and G(10) about 0.05 s on a 2-core host,
-        # so the limit expires in the sub-searches and the half-cubic
-        # incumbent comes back
+        # the table gives G(3..8); G(9) takes about 0.007 s and G(10) about
+        # 0.032 s more on a 2-core host, so the limit expires in the G(10)
+        # sub-search and the half-cubic incumbent comes back
         start = time.monotonic()
         result = search_optimal(SearchConfig(order=12, time_limit=0.01, parallelism=jobs))
         assert time.monotonic() - start < 1.0
@@ -153,7 +159,7 @@ class TestSearchOptimal:
 
     @pytest.mark.parametrize(
         "n, orders",
-        [(2, [2]), (3, [3]), (4, [2, 4]), (10, [2, 3, 4, 5, 6, 7, 8, 10])],
+        [(2, [2]), (3, [3]), (4, [4]), (10, [10]), (11, [9, 11])],
     )
     def test_order_n_minus_one_is_not_searched(self, monkeypatch, n, orders):
         searched = []
@@ -312,7 +318,7 @@ class TestUnusedDifferenceBound:
 def table_tail(k, used):
     """T_k from the checked-in table, keyed by the differences 1..16 in ``used``."""
     key = sum(1 << (u - 1) for u in used if 1 <= u <= 16)
-    return _tail_table()[(k - 2) << 16 | key]
+    return _tail_blocks()[k][key]
 
 
 def shortest_avoiding(k, forbidden):
@@ -326,6 +332,25 @@ def shortest_avoiding(k, forbidden):
         span += 1
 
 
+def shortest_avoiding_by_sets(k, forbidden):
+    """T_k by a depth-first search over sets of differences, span by span."""
+
+    def extend(marks, used, span):
+        if len(marks) == k:
+            new = {span - m for m in marks}
+            return not new & (used | forbidden)
+        for mark in range(marks[-1] + 1, span - (k - len(marks)) + 1):
+            new = {mark - m for m in marks}
+            if not new & (used | forbidden) and extend(marks + [mark], used | new, span):
+                return True
+        return False
+
+    span = k
+    while not extend([0], set(), span):
+        span += 1
+    return span
+
+
 class TestTailTable:
     """T_k(F), the shortest (k+1)-mark ruler avoiding F, read from ``tails.bin``."""
 
@@ -334,7 +359,7 @@ class TestTailTable:
     def test_bound_holds_on_every_prefix(self, gaps):
         marks = golomb_prefix(gaps)
         n = len(marks)
-        for d in range(max(0, n - 6), n - 2):  # prefix marks[:d], tail marks[d:] of k + 1 marks
+        for d in range(max(0, n - 8), n - 2):  # prefix marks[:d], tail marks[d:] of k + 1 marks
             k, span = n - 1 - d, marks[-1] - marks[d]
             used = {b - a for i, a in enumerate(marks[:d]) for b in marks[i + 1 : d]}
             assert table_tail(k, used) <= span
@@ -348,13 +373,30 @@ class TestTailTable:
         forbidden = {i + 1 for i in range(16) if key >> i & 1}
         assert table_tail(k, forbidden) == shortest_avoiding(k, forbidden)
 
-    @pytest.mark.parametrize("k", range(2, 6))
+    # too slow for combinations, so a fixed handful of keys, each raising T_k
+    # above T_k({}); about 0.1 s per k = 6 key and 1 s per k = 7 key
+    @pytest.mark.parametrize(
+        "k, key",
+        [(6, 0x0001), (6, 0x0420), (6, 0x8001), (6, 0xC209), (6, 0xD82C), (7, 0x0108), (7, 0x1010)],
+    )
+    def test_long_tails_match_a_set_search(self, k, key):
+        forbidden = {i + 1 for i in range(16) if key >> i & 1}
+        assert table_tail(k, forbidden) == shortest_avoiding_by_sets(k, forbidden)
+
+    @pytest.mark.parametrize("k", range(2, 8))
     def test_no_forbidden_difference_gives_the_optimum(self, k):
         assert table_tail(k, set()) == KNOWN_OPTIMA[k + 1]
 
+    def test_settled_optima_are_the_known_ones(self):
+        settled = _settled_optima()
+        assert sorted(settled) == list(range(0, 9))
+        assert {k: settled[k] for k in range(2, 9)} == {k: KNOWN_OPTIMA[k] for k in range(2, 9)}
+
     def test_file_is_pinned(self):
-        data = bytes(_tail_table())
-        assert len(data) == 4 * 65_536
+        blocks = _tail_blocks()
+        assert blocks[:2] == (None, None)
+        data = b"".join(bytes(block) for block in blocks[2:])
+        assert len(data) == 6 * 65_536
         assert hashlib.sha256(data).hexdigest() == TAILS_SHA256
 
 
@@ -397,7 +439,7 @@ class TestCompareConstructions:
 
         monkeypatch.setattr(_Search, "run", counting_run)
         compare_constructions(9, exact_cutoff=9)
-        assert orders == list(range(2, 10))
+        assert orders == [9]
 
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
