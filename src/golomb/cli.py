@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 non-graceful verdict, 2 usage/input error,
 3 search stopped by the time limit.  stdout carries data, stderr diagnostics.
+The console script ends quietly on SIGPIPE when its reader closes stdout.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from dataclasses import asdict, astuple, fields
 from typing import List, Optional, Sequence, Tuple
@@ -405,6 +407,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout ends the process like any Unix filter, not as an OSError
+    if hasattr(signal, "SIGPIPE"):  # POSIX only
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -14,34 +14,19 @@ leaves out of ``comp'`` are differences between earlier marks, which are
 already in ``dist``, so ``comp'`` is exact and the kernel visits only
 admissible gaps, lowest first.
 
-The span bounds use G(k), the optimal length of a k-mark ruler, which the
-tail table below gives for k <= 8 and one pass through the larger orders
-works out with the same kernel, smallest first: mark d lies at most at
-limit - G(n-d).  It also lies at or beyond G(d+1), unchecked: admissible
-marks 0..d form a (d+1)-mark ruler.  The k = n-1-d
-gaps after mark d are distinct differences that the marks before it have not
-used, so they span at least S_k(dist), the sum of the k smallest positive
-integers missing from ``dist``.  Also, marks d..n-1 form a (k+1)-mark ruler
-whose C(k+1,2) differences are distinct and missing from ``dist``, so they
-span at least M, the C(k+1,2)-th smallest positive integer missing from
-``dist``.  Mark d therefore lies at most at limit - max(G(k+1), S_k, M);
-neither S_k nor M dominates the other.  S_k is summed from the k lowest zero
-bits of ``dist | 1``, and M comes from a fixpoint on ``int.bit_count``
-(``_nth_missing``), taken only for k >= 3, where it saves more than it
-costs.  G(k) prunes near the root, S_k and M deep in the tree, where most
-small differences are taken.
+Mark d lies at or beyond G(d+1), unchecked: admissible marks 0..d form a
+(d+1)-mark ruler.  Marks d..n-1 form a (k+1)-mark ruler, k = n-1-d, whose
+differences avoid ``dist``, so they avoid F, the differences 1..16 in
+``dist`` (key ``(dist >> 1) & 0xFFFF``), and span at least T_k(F), the
+shortest span of a (k+1)-mark ruler with no difference in F.  Mark d
+therefore lies at most at limit - T_k(F).  ``tails.bin``, which
+``golomb.tails`` builds, holds T_k(F) exactly for k = 1..7 and every F.
+Past the table, and at k = 0, the kernel reads a block that holds
+G(k+1) = T_k({}) for every F, so each depth reads its tail with one lookup.
+G(k) for k > 8 comes from one pass through the larger orders, smallest
+first, with the same kernel.
 
-The fourth tail term is a table.  The differences of marks d..n-1 avoid
-``dist``, so they avoid F, the differences 1..16 in ``dist`` (key
-``(dist >> 1) & 0xFFFF``).  So the tail spans at least T_k(F), the shortest
-span of a (k+1)-mark ruler with no difference in F.  ``tails.bin`` holds
-T_k(F) exactly for k = 2..7 and every F; ``golomb.tails`` builds it, and the
-first search reads it.  T_k(F) >= T_k({}) = G(k+1), and at n = 10 it is
-also at least S_k and M at all but 0.1% of the nodes with 2 <= k <= 5, so
-for every k the table holds the kernel takes T_k(F) alone: computing S_k
-and M costs more than the few nodes they would cut.
-
-Since the table is exact, T_k({}) = G(k+1) also settles G(3..8) without a
+Since the table is exact, T_k({}) = G(k+1) also settles G(2..8) without a
 search.  Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so
 proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
 
@@ -72,6 +57,7 @@ from .constructions import (
 
 _TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
 _KEY_MASK = 0xFFFF  # the differences 1..16 of ``dist`` that key the tail table
+_KEYS = _KEY_MASK + 1  # the length of one block of the tail table
 
 
 @dataclass(frozen=True)
@@ -96,37 +82,22 @@ class SearchResult:
     elapsed: float
 
 
-def _nth_missing(dist: int, m: int) -> int:
-    """The m-th smallest positive integer whose bit is clear in ``dist``.
-
-    It is the least fixpoint of x = m + |dist & [1, x]|, which the iteration
-    from x = m approaches from below.  Bit 0 of ``dist`` must be clear.
-    """
-    x = m
-    while True:
-        y = m + (dist & ((2 << x) - 1)).bit_count()
-        if y == x:
-            return x
-        x = y
-
-
 @functools.cache
 def _tail_blocks() -> Tuple[Optional[memoryview], ...]:
-    """T_k(F) by k: block k maps the key of F to T_k(F), and is None for k < 2.
+    """T_k(F) by k: block k maps the key of F to T_k(F), and is None for k = 0.
 
     ``tails.bin``, which ``golomb.tails`` builds, holds one 65 536-byte block
-    per k from k = 2 on; its length alone says how far k goes.
+    per k from k = 1 on; its length alone says how far k goes.
     """
     with open(os.path.join(os.path.dirname(__file__), "tails.bin"), "rb") as fh:
         table = memoryview(fh.read())
-    size = _KEY_MASK + 1
-    return (None, None) + tuple(table[i:i + size] for i in range(0, len(table), size))
+    return (None,) + tuple(table[i:i + _KEYS] for i in range(0, len(table), _KEYS))
 
 
 def _settled_optima() -> Dict[int, int]:
-    """G(k) for every k the tail table settles: G(0..2), and G(k+1) = T_k({})."""
+    """G(k) for every k the tail table settles: G(0) = G(1) = 0, and G(k+1) = T_k({})."""
     blocks = _tail_blocks()
-    return {0: 0, 1: 0, 2: 1, **{k + 1: blocks[k][0] for k in range(2, len(blocks))}}
+    return {0: 0, 1: 0, **{k + 1: blocks[k][0] for k in range(1, len(blocks))}}
 
 
 class _Timeout(Exception):
@@ -144,14 +115,14 @@ class _Search:
     def __init__(self, n: int, spans: Mapping[int, int], limit: int, deadline: Optional[float]):
         self.n = n
         self.spans = spans  # spans[k] = G(k) for k <= n - 2
-        # Mark d >= 2 has G(n-d) of span still to come, and its n-d marks
-        # from d on have C(n-d, 2) differences; neither is read below d = 2.
-        self.tails = [0, 0] + [spans[n - d] for d in range(2, n)]
-        # blocks[d] maps the key of dist to T_k for mark d, k = n-1-d, or is
-        # None where the table holds no T_k
+        # blocks[d] maps the key of dist to the span still to come after
+        # mark d, k = n-1-d: T_k where the table holds it, else G(k+1) for
+        # every key.  Marks 0 and 1 read none.
         blocks = _tail_blocks()
-        self.blocks = [blocks[k] if k < len(blocks) else None for k in range(n - 1, -1, -1)]
-        self.pairs = [(n - d) * (n - d - 1) // 2 for d in range(n)]
+        self.blocks = [None, None] + [
+            blocks[k] if 0 < k < len(blocks) else bytes([spans[k + 1]]) * _KEYS
+            for k in range(n - 3, -1, -1)
+        ]
         self.limit = limit
         self.deadline = deadline
         self.best: Optional[Tuple[int, ...]] = None
@@ -200,25 +171,7 @@ class _Search:
         dist |= lst
         comp = (comp >> gap) | dist
         d += 1
-        # span still needed after mark d, k = last - d: T_k(F) where the
-        # table holds it, else max(G(k+1), S_k(dist), M)
-        block = self.blocks[d]
-        if block is not None:
-            tail = block[(dist >> 1) & _KEY_MASK]
-        else:
-            tail = self.tails[d]
-            free = ~(dist | 1)
-            missing = 0
-            for _ in range(last - d):
-                bit = free & -free
-                free ^= bit
-                missing += bit.bit_length() - 1
-            if missing > tail:
-                tail = missing
-            if d < last - 2:  # M costs more than it saves for k < 3
-                missing = _nth_missing(dist, self.pairs[d])
-                if missing > tail:
-                    tail = missing
+        tail = self.blocks[d][(dist >> 1) & _KEY_MASK]  # span still needed after mark d
         hi = self.limit - tail - pos
         if hi < 1:
             return
@@ -265,7 +218,7 @@ def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Se
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    Order n reads G(2..n-2).  The tail table gives G(3..8); one pass
+    Order n reads G(2..n-2).  The tail table gives G(2..8); one pass
     through the orders proves the rest with the same kernel, then runs
     branch-and-bound at order n from the half-cubic construction; nodes are
     summed over the pass.
@@ -308,7 +261,7 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     """Tabulate construction lengths against C(n,2) and the exact optimum.
 
     The optimum column is filled for n up to exact_cutoff and left unknown
-    (None) beyond it.  The tail table gives G(3..8); one pass of exact
+    (None) beyond it.  The tail table gives G(2..8); one pass of exact
     search through the orders above 8 proves each of them once.
     """
     if n_max < 2:

@@ -3,10 +3,11 @@
 T_k(F) is the shortest span of a (k+1)-mark ruler none of whose differences
 lies in F.  Here F is a set of differences in 1..16, keyed as the search keys
 its ``dist`` bitmap: bit i - 1 of the key stands for difference i, so the key
-is ``(dist >> 1) & 0xFFFF``.  The file holds T_k(F) for k = 2..7 as one byte
-each, k's block of 65 536 bytes at offset (k - 2) * 65 536: 393 216 bytes.
-The search reads how far k goes from the file's length, and G(k+1) as
-T_k({}), the first byte of each block.
+is ``(dist >> 1) & 0xFFFF``.  The file holds T_k(F) for k = 1..7 as one byte
+each, k's block of 65 536 bytes at offset (k - 1) * 65 536: 458 752 bytes.
+T_1(F) is the smallest difference missing from F, 17 when F holds all of
+1..16.  The search reads how far k goes from the file's length, and G(k+1)
+as T_k({}), the first byte of each block.
 
 Each entry is exact.  T_k(F) is at least T_k(F') for every F' inside F, so
 keys run in increasing order and each starts from the largest T_k(F without
@@ -33,7 +34,7 @@ from typing import List
 
 KEY_BITS = 16
 KEYS = 1 << KEY_BITS
-K_MIN, K_MAX = 2, 7
+K_MIN, K_MAX = 1, 7
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tails.bin")
 
 
@@ -101,8 +102,8 @@ def _shortest(k: int, key: int, start: int, tables) -> tuple:
 
 def build() -> bytes:
     """T_k(F) for k = K_MIN..K_MAX and every key F, one byte each, k by k."""
-    tables: List = [None, None]  # _tail computes T_0 and T_1 directly
-    for k in range(K_MIN, K_MAX + 1):
+    tables: List = [None, bytes(_tail(1, key << 1, None) for key in range(KEYS))]
+    for k in range(2, K_MAX + 1):
         table = bytearray(KEYS)
         witness = [0] * KEYS  # the key of a shortest ruler's own differences
         for key in range(KEYS):

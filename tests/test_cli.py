@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -404,6 +405,21 @@ def test_import_leaves_thread_pool_out():
     probe = "import sys, golomb.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signal")
+def test_closed_stdout_ends_quietly():
+    src = os.path.dirname(os.path.dirname(golomb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "golomb.cli", "bench", "--n-max", "3000", "--exact-cutoff", "0"]
+    # the table is larger than a pipe's buffer, so the writer is still writing
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_no_command_is_usage_error(capsys):
