@@ -239,7 +239,7 @@ def cmd_search(args) -> int:
             "order must be between 2 and %d; larger orders need project-scale "
             "distributed search, which this tool does not attempt" % SEARCH_MAX_ORDER
         )
-    time_limit = _parse_duration(args.timeout) if args.timeout else None
+    time_limit = _parse_duration(args.timeout) if args.timeout is not None else None
     config = SearchConfig(order=n, time_limit=time_limit, parallelism=args.jobs)
     result = search_optimal(config)
     if args.format == "json":

@@ -19,8 +19,11 @@ Mark d lies at or beyond G(d+1), unchecked: admissible marks 0..d form a
 differences avoid ``dist``, so they avoid F, the differences 1..16 in
 ``dist`` (key ``(dist >> 1) & 0xFFFF``), and span at least T_k(F), the
 shortest span of a (k+1)-mark ruler with no difference in F.  Mark d
-therefore lies at most at limit - T_k(F).  ``tails.bin``, which
-``golomb.tails`` builds, holds T_k(F) exactly for k = 1..7 and every F.
+therefore lies at most at limit - T_k(F).  ``tails.bin`` holds T_k(F)
+exactly for k = 1..7 and every F.  ``golomb.tails`` builds it with this
+kernel: T_k(F) is the span of the shortest ruler that an order-(k+1)
+search finds when it starts with F in ``dist``, bounded by the blocks of
+smaller k.
 Past the table, and at k = 0, the kernel reads a block that holds
 G(k+1) = T_k({}) for every F, so each depth reads its tail with one lookup.
 G(k) for k > 8 comes from one pass through the larger orders, smallest
@@ -56,8 +59,10 @@ from .constructions import (
 )
 
 _TIME_CHECK_MASK = (1 << 12) - 1  # nodes between deadline checks, a few ms at n = 10
-_KEY_MASK = 0xFFFF  # the differences 1..16 of ``dist`` that key the tail table
-_KEYS = _KEY_MASK + 1  # the length of one block of the tail table
+_KEY_BITS = 16  # the differences 1..16 of ``dist`` key the tail table
+_KEYS = 1 << _KEY_BITS  # the length of one block of the tail table
+_KEY_MASK = _KEYS - 1
+_TABLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tails.bin")
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,7 @@ def _tail_blocks() -> Tuple[Optional[memoryview], ...]:
     ``tails.bin``, which ``golomb.tails`` builds, holds one 65 536-byte block
     per k from k = 1 on; its length alone says how far k goes.
     """
-    with open(os.path.join(os.path.dirname(__file__), "tails.bin"), "rb") as fh:
+    with open(_TABLE_PATH, "rb") as fh:
         table = memoryview(fh.read())
     return (None,) + tuple(table[i:i + _KEYS] for i in range(0, len(table), _KEYS))
 
@@ -100,57 +105,71 @@ def _settled_optima() -> Dict[int, int]:
     return {0: 0, 1: 0, **{k + 1: blocks[k][0] for k in range(1, len(blocks))}}
 
 
+def _blocks(n: int, spans: Mapping[int, int]) -> List[Optional[Sequence[int]]]:
+    """Block d of order n maps the key of dist to the span still to come after mark d.
+
+    That is T_k, k = n-1-d, where the table holds it, else G(k+1) for every
+    key.  Marks 0 and 1 read none.
+    """
+    blocks = _tail_blocks()
+    return [None, None] + [
+        blocks[k] if 0 < k < len(blocks) else bytes([spans[k + 1]]) * _KEYS
+        for k in range(n - 3, -1, -1)
+    ]
+
+
 class _Timeout(Exception):
     """Unwinds the kernel when the deadline has passed."""
 
 
+class _Found(Exception):
+    """Unwinds the kernel once a ruler at or below the floor is recorded."""
+
+
 class _Search:
-    """Branch-and-bound over the rulers of one order.
+    """Branch-and-bound over the rulers of order ``len(blocks)``; see ``_blocks``.
 
     ``limit`` is the largest length still worth finding; a ruler found at
     length L lowers it to L - 1, so among rulers of one length the first
-    found, the lexicographically smallest, is kept.
+    found, the lexicographically smallest, is kept.  A ruler no longer than
+    ``floor`` ends the search.
     """
 
-    def __init__(self, n: int, spans: Mapping[int, int], limit: int, deadline: Optional[float]):
-        self.n = n
-        self.spans = spans  # spans[k] = G(k) for k <= n - 2
-        # blocks[d] maps the key of dist to the span still to come after
-        # mark d, k = n-1-d: T_k where the table holds it, else G(k+1) for
-        # every key.  Marks 0 and 1 read none.
-        blocks = _tail_blocks()
-        self.blocks = [None, None] + [
-            blocks[k] if 0 < k < len(blocks) else bytes([spans[k + 1]]) * _KEYS
-            for k in range(n - 3, -1, -1)
-        ]
+    def __init__(self, blocks: list, inner: int, limit: int, deadline: Optional[float], floor=0):
+        self.n = len(blocks)
+        self.blocks = blocks
+        self.inner = inner  # a lower bound on the span of marks 1..n-2
         self.limit = limit
         self.deadline = deadline
+        self.floor = floor
         self.best: Optional[Tuple[int, ...]] = None
         self.nodes = 0
         self.timed_out = False
 
-    def run(self) -> "_Search":
-        """Explore every ruler under the limit, first gap by first gap.
+    def run(self, forbidden: int = 0) -> "_Search":
+        """Explore every ruler under the limit that avoids ``forbidden``, a bitmap like ``dist``.
 
         First gaps run in ascending order under a limit that only falls, so
         a ruler whose last gap is below its first has its mirror found
         first, which lowers the limit below its length; an equal last gap
         repeats a difference.  So every recorded ruler has its first gap
         below its last and is canonical as found.  Marks 1..n-2 span at
-        least G(n-2), so twice the first gap fits in limit - G(n-2); the
-        bound is read again after each first gap.
+        least ``inner``, G(n-2) in the order search, so twice the first gap
+        fits in limit - inner; the bound is read again after each first gap.
         It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
         G(n-2), so the search does without G(n-1).
         """
-        inner = self.spans[self.n - 2]
         try:
             self._tick()
             gap = 1
-            while gap <= (self.limit - inner) // 2:
-                self._dfs(1, 0, 0, 0, 0, gap)
+            while gap <= (self.limit - self.inner) // 2:
+                if not forbidden >> gap & 1:
+                    self._dfs(1, 0, 0, forbidden, forbidden, gap)
                 gap += 1
         except _Timeout:
             self.timed_out = True
+        except _Found:
+            pass
         return self
 
     def _tick(self) -> None:
@@ -187,6 +206,8 @@ class _Search:
     def _record(self, span: int, lst: int) -> None:
         self.best = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
         self.limit = span - 1
+        if span <= self.floor:
+            raise _Found
 
 
 def _unsettled(orders: Sequence[int]) -> List[int]:
@@ -207,7 +228,7 @@ def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Se
     spans = _settled_optima()
     searches = []
     for k in orders:
-        search = _Search(k, spans, half_cubic_bound(k) - 1, deadline).run()
+        search = _Search(_blocks(k, spans), spans[k - 2], half_cubic_bound(k) - 1, deadline).run()
         searches.append(search)
         if search.timed_out:
             break

@@ -238,6 +238,14 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "5", "--timeout", "soon")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["", " "])
+    def test_blank_timeout_is_refused(self, capsys, text):
+        # an empty duration is an error like any other, not "no time limit"
+        code, out, err = run(capsys, "search", "--n", "6", "--timeout", text)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot parse duration %r\n" % text
+
     def test_jobs_below_one(self, capsys):
         code, out, err = run(capsys, "search", "--n", "5", "--jobs", "0")
         assert code == 2

@@ -14,7 +14,8 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb.search import _Search, _search_orders, _settled_optima, _tail_blocks
+from golomb import tails
+from golomb.search import _blocks, _Search, _search_orders, _settled_optima, _tail_blocks
 
 
 def naive_optimal(n):
@@ -113,11 +114,25 @@ class TestSearchOptimal:
     )
     def test_search_is_exhaustive_at_the_optimum(self, n, marks):
         spans = {0: 0, 1: 0, **{s.n: s.limit + 1 for s in _search_orders(range(2, n - 1), None)}}
-        below = _Search(n, spans, marks[-1] - 1, None).run()
+        below = _Search(_blocks(n, spans), spans[n - 2], marks[-1] - 1, None).run()
         assert not below.timed_out
         assert below.best is None
-        at = _Search(n, spans, marks[-1], None).run()
+        at = _Search(_blocks(n, spans), spans[n - 2], marks[-1], None).run()
         assert at.best == marks
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_floor_at_the_optimum_keeps_the_ruler(self, n):
+        spans = _settled_optima()
+
+        def search(floor):
+            return _Search(_blocks(n, spans), spans[n - 2], half_cubic_bound(n) - 1, None, floor).run()
+
+        full, floored = search(0), search(KNOWN_OPTIMA[n])
+        assert floored.best == full.best
+        assert floored.nodes <= full.nodes
+        # it stops at the optimum instead of proving it; at n = 3 the
+        # half-cubic ruler is optimal and neither search finds a ruler
+        assert floored.nodes < full.nodes or n == 3
 
     @pytest.mark.parametrize("n", sorted(NODE_COUNTS))
     def test_node_count(self, n):
@@ -211,7 +226,7 @@ class PathSearch(_Search):
     """
 
     def __init__(self, n, gaps, limit):
-        super().__init__(n, [0] * n, limit, None)
+        super().__init__(_blocks(n, [0] * n), 0, limit, None)
         self.gaps = gaps
         self.calls = []
 
@@ -299,6 +314,11 @@ def shortest_avoiding_by_sets(k, forbidden):
     return span
 
 
+def builder_tables():
+    """The tables as the builder holds them, read back from ``tails.bin``: index k is T_k, T_0 = 0."""
+    return [bytes(65_536)] + list(_tail_blocks()[1:])
+
+
 class TestTailTable:
     """T_k(F), the shortest (k+1)-mark ruler avoiding F, read from ``tails.bin``."""
 
@@ -330,6 +350,31 @@ class TestTailTable:
     def test_long_tails_match_a_set_search(self, k, key):
         forbidden = {i + 1 for i in range(16) if key >> i & 1}
         assert table_tail(k, forbidden) == shortest_avoiding_by_sets(k, forbidden)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(key=st.integers(min_value=0, max_value=0xFFFF))
+    def test_kernel_finds_the_shortest_avoiding_ruler(self, k, key):
+        # the builder's search for one span: the order-(k+1) kernel, F taken as used
+        forbidden = {i + 1 for i in range(16) if key >> i & 1}
+        span = shortest_avoiding(k, forbidden)
+        tables = builder_tables()
+        blocks = [None, None] + tables[k - 2::-1]
+
+        def search(limit):
+            return _Search(blocks, tables[k - 2][key], limit, None, floor=limit).run(key << 1)
+
+        assert search(span - 1).best is None
+        marks = search(span).best
+        assert marks[-1] == span and is_golomb(marks)
+        assert not {b - a for a, b in combinations(marks, 2)} & forbidden
+
+    @pytest.mark.parametrize("key", [0x0001, 0x0420, 0x8001, 0xC209, 0xD82C])
+    def test_builder_reproduces_long_tails(self, key):
+        # the k = 6 keys of test_long_tails_match_a_set_search, from T_6({})
+        tables = builder_tables()
+        span, witness = tails._shortest(6, key, table_tail(6, set()), tables)
+        assert span == table_tail(6, {i + 1 for i in range(16) if key >> i & 1})
+        assert not witness & key
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_no_forbidden_difference_gives_the_optimum(self, k):
