@@ -12,7 +12,6 @@ import json
 import re
 import signal
 import sys
-from dataclasses import asdict, astuple, fields
 from typing import List, Optional, Sequence, Tuple
 
 from .core import (
@@ -263,7 +262,7 @@ def cmd_search(args) -> int:
     return EXIT_OK if result.optimal else EXIT_TIMEOUT
 
 
-BENCH_COLUMNS = [field.name for field in fields(BenchRow)]
+BENCH_COLUMNS = BenchRow._fields
 
 
 def cmd_bench(args) -> int:
@@ -275,9 +274,9 @@ def cmd_bench(args) -> int:
         raise UsageError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
     if args.format == "json":
-        _emit({"schema": SCHEMA, "rows": [asdict(r) for r in rows]})
+        _emit({"schema": SCHEMA, "rows": [r._asdict() for r in rows]})
         return EXIT_OK
-    table = [BENCH_COLUMNS] + [["?" if v is None else str(v) for v in astuple(r)] for r in rows]
+    table = [BENCH_COLUMNS] + [["?" if v is None else str(v) for v in r] for r in rows]
     if args.format == "csv":
         for row in table:
             print(",".join(row))

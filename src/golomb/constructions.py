@@ -9,51 +9,57 @@ produce a ruler with all differences distinct once the order is large enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Ruler, _check_u64
 
 
-@dataclass(frozen=True)
-class TriangularParams:
-    """Order and modulus for the family x_i = C(i-1,2)*modulus + (i-1)."""
-
+class _TriangularParamsFields(NamedTuple):
     order: int
     modulus: int
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("order must be at least 2, got %d" % self.order)
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive, got %d" % self.modulus)
+
+class TriangularParams(_TriangularParamsFields):
+    """Order and modulus for the family x_i = C(i-1,2)*modulus + (i-1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, order, modulus):
+        if order < 2:
+            raise ValueError("order must be at least 2, got %d" % order)
+        if modulus < 1:
+            raise ValueError("modulus must be positive, got %d" % modulus)
+        return super().__new__(cls, order, modulus)
 
 
-@dataclass(frozen=True)
-class QuadraticFamilyParams:
+class _QuadraticFamilyParamsFields(NamedTuple):
+    a: int
+    b: int
+    c: int
+
+
+class QuadraticFamilyParams(_QuadraticFamilyParamsFields):
     """Coefficients of the reduced quadratic x_i = a(i-1)^2 + bn(i-1) + c(i-1).
 
     The four constraints below are exactly the ones any candidate graceful
     family must satisfy; everything outside them is trivially non-graceful.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __new__(cls, a, b, c):
+        if a == 0:
             raise ValueError("constraint violated: a must be nonzero")
-        if self.b <= 0:
+        if b <= 0:
             raise ValueError("constraint violated: b must be positive")
-        if 2 * self.a + self.b <= 0:
+        if 2 * a + b <= 0:
             raise ValueError("constraint violated: 2a + b must be positive")
-        if self.c <= -self.a - 2 * self.b:
+        if c <= -a - 2 * b:
             raise ValueError("constraint violated: c must exceed -a - 2b")
+        return super().__new__(cls, a, b, c)
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
+class CollisionWitness(NamedTuple):
     """A duplicated difference in the quadratic family's triangle at order n."""
 
     n: int

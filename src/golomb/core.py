@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 U64_MAX = 2**64 - 1
 
@@ -16,19 +15,22 @@ def _check_u64(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Ruler:
+# A NamedTuple body may not define __new__, so a validated record subclasses its fields.
+class _RulerFields(NamedTuple):
+    marks: Tuple[int, ...]
+
+
+class Ruler(_RulerFields):
     """A strictly increasing sequence of integer marks starting at 0.
 
     The number of marks is the *order*; the largest mark is the *length*
     (the span measured by the ruler, since the first mark is pinned at 0).
     """
 
-    marks: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        marks = tuple(self.marks)
-        object.__setattr__(self, "marks", marks)
+    def __new__(cls, marks):
+        marks = tuple(marks)
         if not marks:
             raise ValueError("ruler needs at least one mark")
         if marks[0] != 0:
@@ -37,6 +39,7 @@ class Ruler:
             if b <= a:
                 raise ValueError("marks must be strictly increasing")
         _check_u64(marks[-1])
+        return super().__new__(cls, marks)
 
     @property
     def order(self) -> int:
@@ -46,8 +49,7 @@ class Ruler:
         return self.marks[-1]
 
 
-@dataclass(frozen=True)
-class DifferenceTriangle:
+class DifferenceTriangle(NamedTuple):
     """Lower-triangular table of every pairwise difference of a ruler.
 
     Entry (i, j), 1-based with 1 <= j <= i <= order-1, holds
@@ -75,8 +77,7 @@ class DifferenceTriangle:
         return [list(self.row(i)) for i in range(1, self.order)]
 
 
-@dataclass(frozen=True)
-class CollisionSite:
+class CollisionSite(NamedTuple):
     """Two distinct triangle positions holding the same difference."""
 
     first: Tuple[int, int]
@@ -84,20 +85,23 @@ class CollisionSite:
     value: int
 
 
-@dataclass(frozen=True)
-class GracefulnessReport:
+class _GracefulnessReportFields(NamedTuple):
     graceful: bool
-    witness: Optional[CollisionSite] = None
+    witness: Optional[CollisionSite]
 
-    def __post_init__(self):
-        if self.graceful and self.witness is not None:
+
+class GracefulnessReport(_GracefulnessReportFields):
+    __slots__ = ()
+
+    def __new__(cls, graceful, witness=None):
+        if graceful and witness is not None:
             raise ValueError("graceful report cannot carry a witness")
-        if not self.graceful and self.witness is None:
+        if not graceful and witness is None:
             raise ValueError("non-graceful report needs a witness")
+        return super().__new__(cls, graceful, witness)
 
 
-@dataclass(frozen=True)
-class ResidueForm:
+class ResidueForm(NamedTuple):
     """value = quotient * modulus + residue with 0 <= residue < modulus."""
 
     value: int

@@ -46,8 +46,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import (
@@ -65,21 +64,26 @@ _KEY_MASK = _KEYS - 1
 _TABLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tails.bin")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
     order: int
-    time_limit: Optional[float] = None  # seconds
-    parallelism: int = 1  # accepted for compatibility; the search runs on one thread
+    time_limit: Optional[float]  # seconds
+    parallelism: int  # accepted for compatibility; the search runs on one thread
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("order must be at least 2, got %d" % self.order)
-        if self.parallelism < 1:
+
+class SearchConfig(_SearchConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, order, time_limit=None, parallelism=1):
+        if order < 2:
+            raise ValueError("order must be at least 2, got %d" % order)
+        if time_limit is not None and not time_limit >= 0:  # NaN too: no deadline would pass it
+            raise ValueError("time_limit must be a non-negative number, got %r" % time_limit)
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        return super().__new__(cls, order, time_limit, parallelism)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     ruler: Ruler
     length: int
     optimal: bool
@@ -262,8 +266,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     )
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     """One order's worth of construction lengths next to the exact optimum.
 
     The fields, in order, are the columns of ``golomb bench``.
