@@ -415,7 +415,7 @@ class TestCounterexample:
 def test_import_leaves_thread_pool_dataclasses_and_inspect_out():
     src = os.path.dirname(os.path.dirname(golomb.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    # dataclasses pulls in inspect, ast, dis and tokenize: about 15 ms of every start-up
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every start-up would pay for
     modules = ["concurrent.futures", "dataclasses", "inspect"]
     probe = "import sys, golomb.cli; print(*[m for m in %r if m in sys.modules])" % modules
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
