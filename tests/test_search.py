@@ -157,11 +157,6 @@ class TestSearchOptimal:
         with pytest.raises(ValueError, match="^time_limit must be a non-negative number, got "):
             SearchConfig(order=9, time_limit=limit)
 
-    def test_zero_time_limit_returns_the_half_cubic_ruler(self):
-        result = search_optimal(SearchConfig(order=9, time_limit=0))
-        assert not result.optimal
-        assert result.ruler.marks == construct_half_cubic(9).marks
-
     def test_timeout_returns_incumbent(self):
         result = search_optimal(SearchConfig(order=11, time_limit=0.05))
         assert not result.optimal
