@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
         for ruler, shift, report in results:
             extra = {"marks": list(ruler.marks)}
             if shift:
-                extra["normalized"] = "shifted by -%d" % shift
+                extra["normalized"] = "shifted by %+d" % -shift
             _render_report(report, "text", extra)
     return worst
 

@@ -70,7 +70,7 @@ class CollisionWitness(NamedTuple):
     value: int
 
 
-POW2_MAX_ORDER = 63  # 2^(n-1) - 1 fits in 64 bits up to here
+POW2_MAX_ORDER = 63  # 2^(n-1) itself fits a signed 64-bit integer up to here
 
 
 def pow2_bound(n: int) -> Optional[int]:
@@ -84,7 +84,8 @@ def construct_powers_of_two(n: int) -> Ruler:
         raise ValueError("order must be positive, got %d" % n)
     if pow2_bound(n) is None:
         raise OverflowError(
-            "order-too-large: 2^(n-1) - 1 exceeds 64 bits for n > %d" % POW2_MAX_ORDER
+            "order-too-large: 2^(n-1) exceeds a signed 64-bit integer for n > %d"
+            % POW2_MAX_ORDER
         )
     return Ruler(tuple(pow2_bound(i) for i in range(1, n + 1)))
 
@@ -175,8 +176,13 @@ def quadratic_sequence(params: QuadraticFamilyParams, n: int) -> list:
     """
     if n < 3:
         raise ValueError("order must be at least 3, got %d" % n)
-    a, b, c = params.a, params.b, params.c
-    return [a * (i - 1) ** 2 + b * n * (i - 1) + c * (i - 1) for i in range(1, n + 1)]
+    return _quadratic_terms(params, n, range(n))
+
+
+def _quadratic_terms(params: QuadraticFamilyParams, n: int, ms) -> list:
+    """Terms m, 0-based, of the family at order n: x_{m+1} = a m^2 + b n m + c m."""
+    a, b, c = params
+    return [a * m * m + b * n * m + c * m for m in ms]
 
 
 def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
@@ -197,13 +203,9 @@ def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
                 "internal-inconsistency: position (%d, %d) invalid at n=%d" % (i, j, n)
             )
 
-    def x(m: int) -> int:
-        """Term m of quadratic_sequence(params, n), 0-based."""
-        return a * m * m + b * n * m + c * m
-
-    # t_{i,j} = x_{i+1} - x_{i+1-j}, which is x(i) - x(i - j) with 0-based terms
-    t1 = x(i1) - x(i1 - j1)
-    t2 = x(i2) - x(i2 - j2)
+    # t_{i,j} = x_{i+1} - x_{i+1-j}, which is term i minus term i - j, 0-based
+    x1, y1, x2, y2 = _quadratic_terms(params, n, (i1, i1 - j1, i2, i2 - j2))
+    t1, t2 = x1 - y1, x2 - y2
     if t1 != t2:
         raise RuntimeError(
             "internal-inconsistency: entries differ (%d vs %d) at n=%d" % (t1, t2, n)

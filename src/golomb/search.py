@@ -19,18 +19,17 @@ Mark d lies at or beyond G(d+1), unchecked: admissible marks 0..d form a
 differences avoid ``dist``, so they avoid F, the differences 1..16 in
 ``dist`` (key ``(dist >> 1) & 0xFFFF``), and span at least T_k(F), the
 shortest span of a (k+1)-mark ruler with no difference in F.  Mark d
-therefore lies at most at limit - T_k(F).  ``tails.bin`` holds T_k(F)
-exactly for k = 1..7 and every F.  ``golomb.tails`` builds it with this
-kernel: T_k(F) is the span of the shortest ruler that an order-(k+1)
-search finds when it starts with F in ``dist``, bounded by the blocks of
-smaller k.
-Past the table, and at k = 0, the kernel reads a block that holds
-G(k+1) = T_k({}) for every F, so each depth reads its tail with one lookup.
-G(k) for k > 8 comes from one pass through the larger orders, smallest
-first, with the same kernel.
+therefore lies at most at limit - T_k(F), one lookup per depth.
 
-Since the table is exact, T_k({}) = G(k+1) also settles G(2..8) without a
-search.  Order n reads G(k) only for k <= n-2 (see ``_Search.run``), so
+One list holds these bounds: ``tables[k]`` maps the key of F to T_k(F).  It
+starts with T_0 = 0 and the tables of ``tails.bin``, exact for k = 1..7 and
+every F.  ``golomb.tails`` builds them with this kernel: T_k(F) is the span
+of the shortest ruler that an order-(k+1) search finds when it starts with F
+in ``dist``, bounded by the tables of smaller k.  Since G(k) = T_{k-1}({}),
+the list settles G(1..8), read as ``tables[k-1][0]``.  G(k) for k > 8 comes
+from one pass through the larger orders, smallest first, with the same
+kernel; each order k it proves appends G(k) for every F as table k-1.
+Order n reads only tables[:n-2], G(k) for k <= n-2 (see ``_Search.run``), so
 proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
 
 The incumbent starts at the half-cubic construction, which is always
@@ -46,7 +45,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import (
@@ -92,57 +91,35 @@ class SearchResult(NamedTuple):
 
 
 @functools.cache
-def _tail_blocks() -> Tuple[Optional[memoryview], ...]:
-    """T_k(F) by k: block k maps the key of F to T_k(F), and is None for k = 0.
+def _tail_tables() -> Tuple[Sequence[int], ...]:
+    """T_k(F) by k, from k = 0: table k maps the key of F to T_k(F).
 
-    ``tails.bin``, which ``golomb.tails`` builds, holds one 65 536-byte block
-    per k from k = 1 on; its length alone says how far k goes.
+    T_0 = 0.  ``tails.bin``, which ``golomb.tails`` builds, holds one
+    65 536-byte table per k from k = 1 on; its length alone says how far k
+    goes.  Callers copy this into a list to append the tables they prove.
     """
     with open(_TABLE_PATH, "rb") as fh:
-        table = memoryview(fh.read())
-    return (None,) + tuple(table[i:i + _KEYS] for i in range(0, len(table), _KEYS))
+        data = memoryview(fh.read())
+    return (bytes(_KEYS),) + tuple(data[i:i + _KEYS] for i in range(0, len(data), _KEYS))
 
 
-def _settled_optima() -> Dict[int, int]:
-    """G(k) for every k the tail table settles: G(0) = G(1) = 0, and G(k+1) = T_k({})."""
-    blocks = _tail_blocks()
-    return {0: 0, 1: 0, **{k + 1: blocks[k][0] for k in range(1, len(blocks))}}
-
-
-def _blocks(n: int, spans: Mapping[int, int]) -> List[Optional[Sequence[int]]]:
-    """Block d of order n maps the key of dist to the span still to come after mark d.
-
-    That is T_k, k = n-1-d, where the table holds it, else G(k+1) for every
-    key.  Marks 0 and 1 read none.
-    """
-    blocks = _tail_blocks()
-    return [None, None] + [
-        blocks[k] if 0 < k < len(blocks) else bytes([spans[k + 1]]) * _KEYS
-        for k in range(n - 3, -1, -1)
-    ]
-
-
-class _Timeout(Exception):
-    """Unwinds the kernel when the deadline has passed."""
-
-
-class _Found(Exception):
-    """Unwinds the kernel once a ruler at or below the floor is recorded."""
+class _Stop(Exception):
+    """Unwinds the kernel at the deadline or once a ruler at or below the floor is recorded."""
 
 
 class _Search:
-    """Branch-and-bound over the rulers of order ``len(blocks)``; see ``_blocks``.
+    """Branch-and-bound over the rulers of order ``n``, bounded by ``tables[:n-2]``.
 
-    ``limit`` is the largest length still worth finding; a ruler found at
-    length L lowers it to L - 1, so among rulers of one length the first
-    found, the lexicographically smallest, is kept.  A ruler no longer than
-    ``floor`` ends the search.
+    Mark d reads table n-1-d, T_k with k = n-1-d, at the key of ``dist``;
+    marks 0 and 1 read none.  ``limit`` is the largest length still worth
+    finding; a ruler found at length L lowers it to L - 1, so among rulers
+    of one length the first found, the lexicographically smallest, is kept.
+    A ruler no longer than ``floor`` ends the search.
     """
 
-    def __init__(self, blocks: list, inner: int, limit: int, deadline: Optional[float], floor=0):
-        self.n = len(blocks)
-        self.blocks = blocks
-        self.inner = inner  # a lower bound on the span of marks 1..n-2
+    def __init__(self, n: int, tables: Sequence, limit: int, deadline: Optional[float], floor=0):
+        self.n = n
+        self.blocks = [None, None, *tables[:n - 2][::-1]]
         self.limit = limit
         self.deadline = deadline
         self.floor = floor
@@ -157,28 +134,29 @@ class _Search:
         a ruler whose last gap is below its first has its mirror found
         first, which lowers the limit below its length; an equal last gap
         repeats a difference.  So every recorded ruler has its first gap
-        below its last and is canonical as found.  Marks 1..n-2 span at
-        least ``inner``, G(n-2) in the order search, so twice the first gap
-        fits in limit - inner; the bound is read again after each first gap.
-        It implies first gap <= limit - G(n-1) whenever limit >= 2 G(n-1) -
-        G(n-2), so the search does without G(n-1).
+        below its last and is canonical as found.  Marks 1..n-2 form an
+        (n-2)-mark ruler that avoids ``forbidden``, so they span at least
+        ``inner``, block 2 at its key (G(n-2) in the order pass), and twice
+        the first gap fits in limit - inner; the bound is read again after
+        each first gap.  It implies first gap <= limit - G(n-1) whenever
+        limit >= 2 G(n-1) - G(n-2), so the search does without G(n-1).
         """
+        inner = self.blocks[2][(forbidden >> 1) & _KEY_MASK] if self.n > 2 else 0
         try:
             self._tick()
             gap = 1
-            while gap <= (self.limit - self.inner) // 2:
+            while gap <= (self.limit - inner) // 2:
                 if not forbidden >> gap & 1:
                     self._dfs(1, 0, 0, forbidden, forbidden, gap)
                 gap += 1
-        except _Timeout:
-            self.timed_out = True
-        except _Found:
+        except _Stop:
             pass
         return self
 
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Timeout
+            self.timed_out = True
+            raise _Stop
 
     def _dfs(self, d: int, pos: int, lst: int, dist: int, comp: int, gap: int) -> None:
         """Place mark d at ``gap`` beyond ``pos``, then every admissible mark d + 1."""
@@ -211,32 +189,29 @@ class _Search:
         self.best = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
         self.limit = span - 1
         if span <= self.floor:
-            raise _Found
+            raise _Stop
 
 
-def _unsettled(orders: Sequence[int]) -> List[int]:
-    """The orders among ``orders`` whose optimum the tail table does not settle."""
-    settled = _settled_optima()
-    return [k for k in orders if k not in settled]
+def _search_orders(
+    orders: Sequence[int], tables: list, deadline: Optional[float]
+) -> List[_Search]:
+    """Search the given orders in turn, each bounded by ``tables``.
 
-
-def _search_orders(orders: Sequence[int], deadline: Optional[float]) -> List[_Search]:
-    """Search the given orders in turn, each bounded by the optima of the smaller ones.
-
-    Order k reads G(2..k-2), which the tail table settles or an earlier
-    order in ``orders`` proves.  Every order k runs under
-    half_cubic_bound(k) - 1, so a finished search leaves limit + 1 == G(k)
-    whether or not it beat the half-cubic ruler.  The loop stops after a
-    search that times out.
+    Order k reads T_0..T_{k-3}, which the file gives or an earlier order in
+    ``orders`` appends: once order k is proved, G(k) = T_{k-1}({}) goes in as
+    table k-1, the same for every key, if that is the next table.  Every
+    order k runs under half_cubic_bound(k) - 1, so a finished search leaves
+    limit + 1 == G(k) whether or not it beat the half-cubic ruler.  The loop
+    stops after a search that times out.
     """
-    spans = _settled_optima()
     searches = []
     for k in orders:
-        search = _Search(_blocks(k, spans), spans[k - 2], half_cubic_bound(k) - 1, deadline).run()
+        search = _Search(k, tables, half_cubic_bound(k) - 1, deadline).run()
         searches.append(search)
         if search.timed_out:
             break
-        spans[k] = search.limit + 1
+        if k == len(tables) + 1:
+            tables.append(bytes([search.limit + 1]) * _KEYS)
     return searches
 
 
@@ -256,7 +231,8 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    searches = _search_orders([*_unsettled(range(2, n - 1)), n], deadline)
+    tables = list(_tail_tables())
+    searches = _search_orders([*range(len(tables) + 1, n - 1), n], tables, deadline)
     last = searches[-1]
     best = (last.n == n and last.best) or construct_half_cubic(n).marks
     return SearchResult(
@@ -291,15 +267,15 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     if n_max < 2:
         raise ValueError("n_max must be at least 2, got %d" % n_max)
     top = min(n_max, exact_cutoff)
-    searches = _search_orders(_unsettled(range(2, top + 1)), None)
-    optima = {**_settled_optima(), **{s.n: s.limit + 1 for s in searches}}
+    tables = list(_tail_tables())
+    _search_orders(range(len(tables) + 1, top + 1), tables, None)
     rows = []
     for n in range(2, n_max + 1):
         rows.append(
             BenchRow(
                 n=n,
                 lower_bound=lower_bound(n),
-                optimal=optima.get(n) if n <= top else None,
+                optimal=tables[n - 1][0] if n <= top else None,
                 pow2=pow2_bound(n),
                 thm1=cubic_bound(n),
                 thm1_nminus2=shifted_cubic_bound(n),

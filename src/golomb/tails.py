@@ -40,13 +40,12 @@ K_MAX = 7
 def _shortest(k: int, key: int, start: int, tables) -> tuple:
     """T_k(key) and the key of a witness's own differences, from span ``start`` up.
 
-    ``start`` must be a lower bound.  Each span is one search; marks 1..k-1
-    span at least T_{k-2}(key).
+    ``start`` must be a lower bound, and ``tables`` must hold T_0..T_{k-2}.
+    Each span is one search.
     """
-    blocks = [None, None] + tables[k - 2::-1]
     limit = start
     while True:
-        marks = _Search(blocks, tables[k - 2][key], limit, None, floor=limit).run(key << 1).best
+        marks = _Search(k + 1, tables, limit, None, floor=limit).run(key << 1).best
         if marks:
             own = build_difference_triangle(Ruler(marks)).entries
             return limit, sum(1 << (d - 1) for d in own if d <= _KEY_BITS)

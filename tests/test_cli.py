@@ -126,6 +126,14 @@ class TestVerify:
         assert "marks: 0 1 4 9 11" in out
         assert "shifted by -5" in out
 
+    def test_negative_first_mark_is_shifted_up(self, capsys):
+        code, out, _ = run(capsys, "verify", "-5", "0", "3")
+        assert code == 0
+        assert "marks: 0 5 8\nnormalized: shifted by +5\n" in out
+        code, out, _ = run(capsys, "verify", "-5", "0", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["normalized_shift"] == -5
+
     def test_unsorted_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "0", "4", "1")
         assert code == 2

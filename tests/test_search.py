@@ -15,7 +15,7 @@ from golomb import (
     verify_graceful,
 )
 from golomb import tails
-from golomb.search import _blocks, _Search, _search_orders, _settled_optima, _tail_blocks
+from golomb.search import _Search, _tail_tables
 
 
 def naive_optimal(n):
@@ -113,19 +113,16 @@ class TestSearchOptimal:
         "n, marks", [(5, (0, 1, 4, 9, 11)), (9, (0, 1, 5, 12, 25, 27, 35, 41, 44))]
     )
     def test_search_is_exhaustive_at_the_optimum(self, n, marks):
-        spans = {0: 0, 1: 0, **{s.n: s.limit + 1 for s in _search_orders(range(2, n - 1), None)}}
-        below = _Search(_blocks(n, spans), spans[n - 2], marks[-1] - 1, None).run()
+        below = _Search(n, _tail_tables(), marks[-1] - 1, None).run()
         assert not below.timed_out
         assert below.best is None
-        at = _Search(_blocks(n, spans), spans[n - 2], marks[-1], None).run()
+        at = _Search(n, _tail_tables(), marks[-1], None).run()
         assert at.best == marks
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_floor_at_the_optimum_keeps_the_ruler(self, n):
-        spans = _settled_optima()
-
         def search(floor):
-            return _Search(_blocks(n, spans), spans[n - 2], half_cubic_bound(n) - 1, None, floor).run()
+            return _Search(n, _tail_tables(), half_cubic_bound(n) - 1, None, floor).run()
 
         full, floored = search(0), search(KNOWN_OPTIMA[n])
         assert floored.best == full.best
@@ -227,12 +224,12 @@ class PathSearch(_Search):
 
     Every call of the kernel is recorded with its arguments, so a test reads
     the bitmaps the kernel holds at each step and the gaps it offers next.
-    G(k) is taken as 0 for every k, leaving only the bounds that need no
-    sub-search.
+    Past the file's tables, T_k is taken as 0 for every key, leaving only
+    the bounds that need no sub-search.
     """
 
     def __init__(self, n, gaps, limit):
-        super().__init__(_blocks(n, [0] * n), 0, limit, None)
+        super().__init__(n, [*_tail_tables(), *[bytes(65_536)] * n], limit, None)
         self.gaps = gaps
         self.calls = []
 
@@ -287,7 +284,7 @@ class TestUnusedDifferenceBound:
 def table_tail(k, used):
     """T_k from the checked-in table, keyed by the differences 1..16 in ``used``."""
     key = sum(1 << (u - 1) for u in used if 1 <= u <= 16)
-    return _tail_blocks()[k][key]
+    return _tail_tables()[k][key]
 
 
 def shortest_avoiding(k, forbidden):
@@ -318,11 +315,6 @@ def shortest_avoiding_by_sets(k, forbidden):
     while not extend([0], set(), span):
         span += 1
     return span
-
-
-def builder_tables():
-    """The tables as the builder holds them, read back from ``tails.bin``: index k is T_k, T_0 = 0."""
-    return [bytes(65_536)] + list(_tail_blocks()[1:])
 
 
 class TestTailTable:
@@ -363,11 +355,9 @@ class TestTailTable:
         # the builder's search for one span: the order-(k+1) kernel, F taken as used
         forbidden = {i + 1 for i in range(16) if key >> i & 1}
         span = shortest_avoiding(k, forbidden)
-        tables = builder_tables()
-        blocks = [None, None] + tables[k - 2::-1]
 
         def search(limit):
-            return _Search(blocks, tables[k - 2][key], limit, None, floor=limit).run(key << 1)
+            return _Search(k + 1, _tail_tables(), limit, None, floor=limit).run(key << 1)
 
         assert search(span - 1).best is None
         marks = search(span).best
@@ -377,8 +367,7 @@ class TestTailTable:
     @pytest.mark.parametrize("key", [0x0001, 0x0420, 0x8001, 0xC209, 0xD82C])
     def test_builder_reproduces_long_tails(self, key):
         # the k = 6 keys of test_long_tails_match_a_set_search, from T_6({})
-        tables = builder_tables()
-        span, witness = tails._shortest(6, key, table_tail(6, set()), tables)
+        span, witness = tails._shortest(6, key, table_tail(6, set()), _tail_tables())
         assert span == table_tail(6, {i + 1 for i in range(16) if key >> i & 1})
         assert not witness & key
 
@@ -387,14 +376,15 @@ class TestTailTable:
         assert table_tail(k, set()) == KNOWN_OPTIMA[k + 1]
 
     def test_settled_optima_are_the_known_ones(self):
-        settled = _settled_optima()
-        assert sorted(settled) == list(range(0, 9))
-        assert {k: settled[k] for k in range(2, 9)} == {k: KNOWN_OPTIMA[k] for k in range(2, 9)}
+        # G(k) = T_{k-1}({}) for k = 1..8, from T_0 and the file's seven tables
+        tables = _tail_tables()
+        assert len(tables) == 8
+        assert {k: tables[k - 1][0] for k in range(1, 9)} == {1: 0, **{k: KNOWN_OPTIMA[k] for k in range(2, 9)}}
 
     def test_file_is_pinned(self):
-        blocks = _tail_blocks()
-        assert blocks[:1] == (None,)
-        data = b"".join(bytes(block) for block in blocks[1:])
+        tables = _tail_tables()
+        assert tables[0] == bytes(65_536)
+        data = b"".join(bytes(table) for table in tables[1:])
         assert len(data) == 7 * 65_536
         assert hashlib.sha256(data).hexdigest() == TAILS_SHA256
 
@@ -427,6 +417,11 @@ class TestCompareConstructions:
     def test_optimal_column_matches_known_optima(self):
         rows = compare_constructions(9)
         assert {r.n: r.optimal for r in rows} == KNOWN_OPTIMA
+
+    def test_optimal_column_reads_the_appended_tables(self):
+        # past the file, G(9) and G(10) are appended as tables before order 11 reads them
+        rows = compare_constructions(11, exact_cutoff=11)
+        assert {r.n: r.optimal for r in rows if r.n >= 9} == {9: 44, 10: 55, 11: 72}
 
     def test_one_search_per_order(self, monkeypatch):
         orders = []
