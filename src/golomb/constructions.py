@@ -9,6 +9,7 @@ produce a ruler with all differences distinct once the order is large enough.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .core import Ruler, _check_u64
@@ -172,17 +173,15 @@ def quadratic_sequence(params: QuadraticFamilyParams, n: int) -> list:
     """Evaluate x_i = a(i-1)^2 + bn(i-1) + c(i-1) for i = 1..n.
 
     Returned as a raw list: for a < 0 the sequence eventually decreases, and
-    the collision engine does not need monotonicity.
+    the collision engine does not need monotonicity.  The first differences
+    x_{i+1} - x_i = a(2i-1) + bn + c step by the constant 2a, so the terms
+    are their running sums from x_1 = 0.
     """
     if n < 3:
         raise ValueError("order must be at least 3, got %d" % n)
-    return _quadratic_terms(params, n, range(n))
-
-
-def _quadratic_terms(params: QuadraticFamilyParams, n: int, ms) -> list:
-    """Terms m, 0-based, of the family at order n: x_{m+1} = a m^2 + b n m + c m."""
     a, b, c = params
-    return [a * m * m + b * n * m + c * m for m in ms]
+    step = a + b * n + c
+    return list(accumulate(range(step, step + 2 * a * (n - 1), 2 * a), initial=0))
 
 
 def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
@@ -203,8 +202,9 @@ def find_quadratic_collision(params: QuadraticFamilyParams) -> CollisionWitness:
                 "internal-inconsistency: position (%d, %d) invalid at n=%d" % (i, j, n)
             )
 
-    # t_{i,j} = x_{i+1} - x_{i+1-j}, which is term i minus term i - j, 0-based
-    x1, y1, x2, y2 = _quadratic_terms(params, n, (i1, i1 - j1, i2, i2 - j2))
+    # t_{i,j} = x_{i+1} - x_{i+1-j}, which is term i minus term i - j, 0-based,
+    # and term m is a m^2 + b n m + c m
+    x1, y1, x2, y2 = (a * m * m + b * n * m + c * m for m in (i1, i1 - j1, i2, i2 - j2))
     t1, t2 = x1 - y1, x2 - y2
     if t1 != t2:
         raise RuntimeError(

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from collections import Counter
+from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
+from operator import sub
 from typing import NamedTuple, Optional, Tuple
 
 U64_MAX = 2**64 - 1
@@ -110,6 +111,14 @@ class ResidueForm(NamedTuple):
     residue: int
 
 
+def _row(marks: Tuple[int, ...], i: int):
+    """Triangle row i, 1 <= i < len(marks): marks[i] - marks[i-j] for j = 1..i.
+
+    The row is strictly increasing, so no value repeats inside it.
+    """
+    return map(sub, repeat(marks[i], i), marks[i - 1 :: -1])
+
+
 def build_difference_triangle(ruler: Ruler) -> DifferenceTriangle:
     """Arrange all C(n,2) pairwise differences of a ruler into a triangle.
 
@@ -121,35 +130,62 @@ def build_difference_triangle(ruler: Ruler) -> DifferenceTriangle:
     marks = ruler.marks
     # Ruler guarantees 0 = marks[0] < ... < marks[-1] <= U64_MAX, so every
     # difference lies in [1, U64_MAX].  Row i ends at the (i+1)-th mark, 1-based.
-    entries = tuple(marks[i] - marks[i - j] for i in range(1, n) for j in range(1, i + 1))
-    return DifferenceTriangle(order=n, entries=entries)
+    entries = []
+    for i in range(1, n):
+        entries.extend(_row(marks, i))
+    return DifferenceTriangle(order=n, entries=tuple(entries))
 
 
 def verify_graceful(ruler: Ruler) -> GracefulnessReport:
     """Check that all pairwise differences of a ruler are distinct.
 
+    The rows of the difference triangle go into one set in row order, and
+    the check stops at the first row that repeats an earlier difference;
+    a ruler whose last row adds only new differences is graceful.
+
     On failure the witness is the lexicographically first duplicate by
     (value, i1, j1, i2, j2), so output is deterministic: the smallest
-    repeated value at its first two positions in row-major order.
+    repeated value at its first two positions in row-major order.  The
+    smallest value that the failing row repeats bounds that value, so the
+    witness search sorts only the entries at most that bound.
     """
-    if ruler.order == 1:
+    marks = ruler.marks
+    seen = set()
+    size = 0
+    for i in range(1, len(marks)):
+        seen.update(_row(marks, i))
+        size += i
+        if len(seen) < size:
+            break
+    else:
         return GracefulnessReport(graceful=True)
-    entries = build_difference_triangle(ruler).entries
-    if len(set(entries)) == len(entries):
-        return GracefulnessReport(graceful=True)
-    value = min(v for v, count in Counter(entries).items() if count > 1)
-    first = entries.index(value)
-    second = entries.index(value, first + 1)
-    return GracefulnessReport(
-        graceful=False,
-        witness=CollisionSite(first=_cell(first), second=_cell(second), value=value),
+    del seen  # free the set before the witness search builds its own list
+    return GracefulnessReport(graceful=False, witness=_first_duplicate(marks, i))
+
+
+def _first_duplicate(marks: Tuple[int, ...], i: int) -> CollisionSite:
+    """Lexicographically first duplicate of a triangle whose row i repeats an earlier row."""
+    # v in row i repeats an earlier row when v = marks[q] - marks[p] for p < q < i
+    earlier = set(marks[:i])
+    bound = next(
+        v
+        for v in _row(marks, i)
+        if not earlier.isdisjoint(map(v.__add__, marks[: bisect_right(marks, marks[i - 1] - v)]))
     )
-
-
-def _cell(k: int) -> Tuple[int, int]:
-    """Triangle position (i, j) of flat index k: row i starts at i(i-1)/2."""
-    i = (1 + math.isqrt(8 * k + 1)) // 2
-    return i, k - i * (i - 1) // 2 + 1
+    # both copies of the smallest repeated value are at most the bound; in
+    # each row those entries come from the marks within the bound below its end
+    small = []
+    for r, top in enumerate(marks):
+        lo = bisect_left(marks, top - bound, 0, r)
+        small.extend(map(sub, repeat(top, r - lo), marks[lo:r]))
+    small.sort()
+    value = next(v for v, w in zip(small, islice(small, 1, None)) if v == w)
+    # row r holds the value at most once: at column r - k where marks[k] = marks[r] - value
+    index = {m: k for k, m in enumerate(marks)}
+    first, second = islice(
+        ((r, r - index[top - value]) for r, top in enumerate(marks) if top - value in index), 2
+    )
+    return CollisionSite(first=first, second=second, value=value)
 
 
 def decompose_residue(value: int, modulus: int) -> ResidueForm:

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from golomb import (
     QuadraticFamilyParams,
@@ -259,6 +259,15 @@ class TestQuadraticFamily:
         assert quadratic_sequence(p, 12)[:6] == [0, 13, 28, 45, 64, 85]
         q = QuadraticFamilyParams(a=-1, b=3, c=0)
         assert quadratic_sequence(q, 14)[:4] == [0, 41, 80, 117]
+
+    @given(st.integers(-20, 20), st.integers(1, 20), st.integers(0, 60), st.integers(3, 80))
+    @example(a=-3, b=7, c_offset=0, n=3)
+    @example(a=5, b=2, c_offset=20, n=3)
+    def test_sequence_matches_the_closed_form(self, a, b, c_offset, n):
+        assume(a != 0 and 2 * a + b > 0)
+        c = -a - 2 * b + 1 + c_offset
+        xs = quadratic_sequence(QuadraticFamilyParams(a=a, b=b, c=c), n)
+        assert xs == [a * m * m + b * n * m + c * m for m in range(n)]
 
     def test_sequence_needs_three_terms(self):
         with pytest.raises(ValueError):

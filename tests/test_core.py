@@ -3,12 +3,15 @@ from hypothesis import given, strategies as st
 
 from golomb import (
     Ruler,
+    TriangularParams,
     build_difference_triangle,
+    construct_cubic,
+    construct_triangular,
     decompose_residue,
     lower_bound,
     verify_graceful,
 )
-from golomb.core import _cell
+from golomb.core import U64_MAX
 
 
 def ruler_marks(max_order=12, max_mark=200):
@@ -143,10 +146,34 @@ class TestVerifyGraceful:
         got = None if report.graceful else (report.witness.value, report.witness.first, report.witness.second)
         assert got == first_duplicate_by_scan(marks)
 
-    def test_flat_index_to_cell(self):
-        n = 60
-        cells = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
-        assert [_cell(k) for k in range(len(cells))] == cells
+    @pytest.mark.parametrize("n", [50, 100, 150])
+    def test_triangular_witness_at_benchmark_orders(self, n):
+        # moduli below n/3 collide, as in the benchmark's verify_batch rulers of order 100-400
+        for modulus in range(1, n // 3 + 1, 6):
+            marks = construct_triangular(TriangularParams(order=n, modulus=modulus)).marks
+            report = verify_graceful(Ruler(marks))
+            assert not report.graceful
+            w = report.witness
+            assert (w.value, w.first, w.second) == first_duplicate_by_scan(marks)
+
+    @pytest.mark.parametrize("n", [12, 40, 90])
+    def test_witness_of_a_late_large_repeat(self, n):
+        # one mark 2x - y past a graceful ruler's end x repeats only x - y, in its last row
+        marks = construct_cubic(n).marks
+        marks += (2 * marks[-1] - marks[1],)
+        w = verify_graceful(Ruler(marks)).witness
+        assert (w.value, w.first, w.second) == first_duplicate_by_scan(marks)
+        assert (w.value, w.second) == (marks[-2] - marks[1], (n, 1))
+
+    @given(
+        st.sets(st.integers(1, 40), max_size=4),
+        st.sets(st.integers(1, 60), max_size=8),
+    )
+    def test_witness_at_the_u64_limit(self, low, high_offsets):
+        marks = (0,) + tuple(sorted(low)) + tuple(sorted(U64_MAX - k for k in high_offsets | {0}))
+        report = verify_graceful(Ruler(marks))
+        got = None if report.graceful else (report.witness.value, report.witness.first, report.witness.second)
+        assert got == first_duplicate_by_scan(marks)
 
     @given(ruler_marks())
     def test_graceful_implies_lower_bound(self, marks):
