@@ -14,13 +14,7 @@ import signal
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (
-    CollisionSite,
-    GracefulnessReport,
-    Ruler,
-    build_difference_triangle,
-    verify_graceful,
-)
+from .core import CollisionSite, GracefulnessReport, Ruler, _row, verify_graceful
 from .constructions import (
     QuadraticFamilyParams,
     TriangularParams,
@@ -44,7 +38,7 @@ EXIT_TIMEOUT = 3
 
 SEARCH_MAX_ORDER = 15
 BENCH_MAX_ORDER = 10_000  # bench holds every row of its table before printing any
-RULER_MAX_ORDER = 2000  # construct, verify and triangle hold all C(n,2) differences
+RULER_MAX_ORDER = 2000  # construct and verify hold all C(n,2) differences, triangle writes them
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
 _TERMS_PER_WRITE = 4096  # counterexample writes its sequence this many terms at a time
 
@@ -222,12 +216,17 @@ def cmd_triangle(args) -> int:
         ruler, _ = _normalize_marks(args.marks)
     if ruler.order < 2:
         raise UsageError("triangle needs at least 2 marks")
-    tri = build_difference_triangle(ruler)
+    marks = ruler.marks
+    rows = range(1, len(marks))
     if args.format == "json":
-        _emit({"schema": SCHEMA, "marks": list(ruler.marks), "rows": tri.rows()})
+        # the same bytes as json.dumps of the whole object, without the whole triangle in memory
+        sys.stdout.write(json.dumps({"schema": SCHEMA, "marks": list(marks)})[:-1] + ', "rows": [')
+        for i in rows:
+            sys.stdout.write("%s[%s]" % (", " if i > 1 else "", ", ".join(map(str, _row(marks, i)))))
+        sys.stdout.write("]}\n")
     else:
-        for row in tri.rows():
-            print(" ".join(str(v) for v in row))
+        for i in rows:
+            sys.stdout.write(" ".join(map(str, _row(marks, i))) + "\n")
     return EXIT_OK
 
 

@@ -9,20 +9,24 @@ T_1(F) is the smallest difference missing from F, 17 when F holds all of
 1..16.  The search reads how far k goes from the file's length, and G(k+1)
 as T_k({}), the first byte of each block.
 
-Each entry is exact.  T_k(F) is at least T_k(F') for every F' inside F, so
-keys run in increasing order and each starts from the largest T_k(F without
-one of its differences).  When a witness ruler of such a subset avoids all of
-F, that is the answer; otherwise the search kernel, ``golomb.search._Search``,
-looks for a ruler of each span from there up.  It runs the order-(k+1) search
-with F taken as differences already used, bounds the marks still to come by
-the tables of smaller k, and stops at the first ruler it finds.
+Each entry is exact, and each is one search.  T_k(F) is at least T_k(F')
+for every F' inside F, so keys run in increasing order and the largest
+T_k(F without one of its differences) is a floor, k when F is empty.  A
+k-mark ruler that avoids F and spans T_{k-1}(F) gives a (k+1)-mark one of
+span T_{k-1}(F) + max(T_{k-1}(F), 16) + 1: every difference the new mark
+adds exceeds both 16 and the old span, so none is in F or repeats one.  From
+that feasible length the search kernel, ``golomb.search._Search``, runs the
+order-(k+1) search with F taken as differences already used and the marks
+still to come bounded by the tables of smaller k.  Each ruler it finds
+lowers its limit; it stops at the first ruler no longer than the floor, or
+when no shorter one exists, so the last ruler found spans T_k(F).
 
 This is a maintenance tool, not part of the library's interface::
 
     python -m golomb.tails          # rewrite tails.bin
     python -m golomb.tails --check  # rebuild and compare byte for byte
 
-A build takes 35-55 s of CPU on one core (2-core shared host, Python 3.11.7),
+A build takes 29-43 s of CPU on one core (2-core shared host, Python 3.11.7),
 nearly all of it in the k = 6 and 7 blocks.
 """
 
@@ -31,25 +35,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Ruler, build_difference_triangle
 from .search import _KEY_BITS, _KEYS, _TABLE_PATH, _Search
 
 K_MAX = 7
 
 
-def _shortest(k: int, key: int, start: int, tables) -> tuple:
-    """T_k(key) and the key of a witness's own differences, from span ``start`` up.
-
-    ``start`` must be a lower bound, and ``tables`` must hold T_0..T_{k-2}.
-    Each span is one search.
-    """
-    limit = start
-    while True:
-        marks = _Search(k + 1, tables, limit, None, floor=limit).run(key << 1).best
-        if marks:
-            own = build_difference_triangle(Ruler(marks)).entries
-            return limit, sum(1 << (d - 1) for d in own if d <= _KEY_BITS)
-        limit += 1
+def _shortest(k: int, key: int, floor: int, tables) -> int:
+    """T_k(key), given a lower bound ``floor`` and ``tables`` holding T_0..T_{k-1}."""
+    inner = tables[k - 1][key]  # T_{k-1}(F): one mark far beyond it gives a feasible length
+    limit = inner + max(inner, _KEY_BITS) + 1
+    return _Search(k + 1, tables, limit, None, floor).run(key << 1).best[-1]
 
 
 def build() -> bytes:
@@ -58,16 +53,9 @@ def build() -> bytes:
     tables = [bytes(_KEYS), bytes((~key & (key + 1)).bit_length() for key in range(_KEYS))]
     for k in range(2, K_MAX + 1):
         table = bytearray(_KEYS)
-        witness = [0] * _KEYS  # the key of a shortest ruler's own differences
         for key in range(_KEYS):
-            subs = [key & ~(1 << i) for i in range(_KEY_BITS) if key >> i & 1]
-            start = max([table[sub] for sub in subs], default=k)  # k + 1 marks span >= k
-            for sub in subs:
-                if table[sub] == start and not witness[sub] & key:
-                    table[key], witness[key] = start, witness[sub]
-                    break
-            else:
-                table[key], witness[key] = _shortest(k, key, start, tables)
+            subs = [table[key & ~(1 << i)] for i in range(_KEY_BITS) if key >> i & 1]
+            table[key] = _shortest(k, key, max(subs, default=k), tables)  # k + 1 marks span >= k
         tables.append(bytes(table))
     return b"".join(tables[1:])
 

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,42 @@ class TestTriangle:
         assert code == 2
         assert out == ""
         assert err == "error: --n and --modulus only apply with --method\n"
+
+    # orders 2, 3 and 200, and marks up to the top of the unsigned 64-bit range
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            (0, 1),
+            (0, 1, 3),
+            golomb.construct_cubic(200).marks,
+            (0, 1, 2**64 - 2, 2**64 - 1),
+            (0, 3, 7, 2**64 - 1),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_streamed_rows_match_the_triangle(self, capsys, marks, fmt):
+        rows = golomb.build_difference_triangle(golomb.Ruler(marks)).rows()
+        if fmt == "json":
+            expected = json.dumps({"schema": "golomb/1", "marks": list(marks), "rows": rows}) + "\n"
+        else:
+            expected = "".join(" ".join(str(v) for v in row) + "\n" for row in rows)
+        code, out, _ = run(capsys, "triangle", *map(str, marks), "--format", fmt)
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rows_are_not_held_in_memory(self, monkeypatch, fmt):
+        # 1000 marks make 499 500 differences: tens of MB if the rows were held at once
+        with open(os.devnull, "w") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                code = main(["triangle", "--method", "cubic", "--n", "1000", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
 
 
 class TestSearch:

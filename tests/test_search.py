@@ -352,7 +352,7 @@ class TestTailTable:
     @pytest.mark.parametrize("k", [2, 3])
     @given(key=st.integers(min_value=0, max_value=0xFFFF))
     def test_kernel_finds_the_shortest_avoiding_ruler(self, k, key):
-        # the builder's search for one span: the order-(k+1) kernel, F taken as used
+        # the order-(k+1) kernel, F taken as used, finds nothing below T_k(F) and a ruler at it
         forbidden = {i + 1 for i in range(16) if key >> i & 1}
         span = shortest_avoiding(k, forbidden)
 
@@ -367,9 +367,21 @@ class TestTailTable:
     @pytest.mark.parametrize("key", [0x0001, 0x0420, 0x8001, 0xC209, 0xD82C])
     def test_builder_reproduces_long_tails(self, key):
         # the k = 6 keys of test_long_tails_match_a_set_search, from T_6({})
-        span, witness = tails._shortest(6, key, table_tail(6, set()), _tail_tables())
+        span = tails._shortest(6, key, table_tail(6, set()), _tail_tables())
         assert span == table_tail(6, {i + 1 for i in range(16) if key >> i & 1})
-        assert not witness & key
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(key=st.integers(min_value=0, max_value=0xFFFF))
+    def test_builder_exhausts_from_the_trivial_floor(self, k, key):
+        # k + 1 >= 3 marks span more than k, so no ruler reaches the floor: the search must exhaust
+        forbidden = {i + 1 for i in range(16) if key >> i & 1}
+        assert tails._shortest(k, key, k, _tail_tables()) == shortest_avoiding(k, forbidden)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @given(key=st.integers(min_value=0, max_value=0xFFFF))
+    def test_builder_stops_at_a_tight_floor(self, k, key):
+        span = _tail_tables()[k][key]
+        assert tails._shortest(k, key, span, _tail_tables()) == span
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_no_forbidden_difference_gives_the_optimum(self, k):
