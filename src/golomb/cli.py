@@ -321,11 +321,13 @@ def cmd_counterexample(args) -> int:
 
 
 def _write_terms(seq: Sequence[int], sep: str) -> None:
-    """Write the terms joined by ``sep``, a slice at a time."""
+    """Write the terms joined by ``sep``, a slice at a time, each with one ``%``."""
+    template = sep.join(["%d"] * _TERMS_PER_WRITE)
     for start in range(0, len(seq), _TERMS_PER_WRITE):
-        if start:
-            sys.stdout.write(sep)
-        sys.stdout.write(sep.join(map(str, seq[start:start + _TERMS_PER_WRITE])))
+        terms = tuple(seq[start:start + _TERMS_PER_WRITE])
+        if len(terms) < _TERMS_PER_WRITE:
+            template = sep.join(["%d"] * len(terms))
+        sys.stdout.write((sep if start else "") + template % terms)
 
 
 def _add_format(parser, choices=("text", "json")) -> None:

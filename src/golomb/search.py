@@ -32,9 +32,11 @@ kernel; each order k it proves appends G(k) for every F as table k-1.
 Order n reads only tables[:n-2], G(k) for k <= n-2 (see ``_Search.run``), so
 proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
 
-The incumbent starts at the half-cubic construction, which is always
-feasible.  Mirror symmetry is broken by the first-gap bound in
-``_Search.run``, and the first-gap order yields the canonical ruler
+Each order's search starts at the length of its published optimum in
+``_RECORDS`` (the half-cubic construction above order 15), inclusive: it
+re-finds the lex-min ruler of that length and exhausts every shorter one, so
+the record decides no result.  Mirror symmetry is broken by the first-gap
+bound in ``_Search.run``, and the first-gap order yields the canonical ruler
 directly: every ruler it records has its first gap below its last, so the
 reported ruler is the lexicographically smallest mark sequence among
 co-minimal ones.
@@ -61,6 +63,18 @@ _KEY_BITS = 16  # the differences 1..16 of ``dist`` key the tail table
 _KEYS = 1 << _KEY_BITS  # the length of one block of the tail table
 _KEY_MASK = _KEYS - 1
 _TABLE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tails.bin")
+
+# the published optimal ruler of each order up to 15, first gap below last
+_RECORDS = {
+    2: (0, 1), 3: (0, 1, 3), 4: (0, 1, 4, 6), 5: (0, 1, 4, 9, 11), 6: (0, 1, 4, 10, 12, 17),
+    7: (0, 1, 4, 10, 18, 23, 25), 8: (0, 1, 4, 9, 15, 22, 32, 34),
+    9: (0, 1, 5, 12, 25, 27, 35, 41, 44), 10: (0, 1, 6, 10, 23, 26, 34, 41, 53, 55),
+    11: (0, 1, 4, 13, 28, 33, 47, 54, 64, 70, 72),
+    12: (0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85),
+    13: (0, 2, 5, 25, 37, 43, 59, 70, 85, 89, 98, 99, 106),
+    14: (0, 4, 6, 20, 35, 52, 59, 77, 78, 86, 89, 99, 122, 127),
+    15: (0, 4, 20, 30, 57, 59, 62, 76, 100, 111, 123, 136, 144, 145, 151),
+}
 
 
 class _SearchConfigFields(NamedTuple):
@@ -199,14 +213,15 @@ def _search_orders(
 
     Order k reads T_0..T_{k-3}, which the file gives or an earlier order in
     ``orders`` appends: once order k is proved, G(k) = T_{k-1}({}) goes in as
-    table k-1, the same for every key, if that is the next table.  Every
-    order k runs under half_cubic_bound(k) - 1, so a finished search leaves
-    limit + 1 == G(k) whether or not it beat the half-cubic ruler.  The loop
-    stops after a search that times out.
+    table k-1, the same for every key, if that is the next table.  Order k
+    runs under the length of its record inclusive, or half_cubic_bound(k) - 1
+    above the records, so a finished search has found a ruler and leaves
+    limit + 1 == G(k).  The loop stops after a search that times out.
     """
     searches = []
     for k in orders:
-        search = _Search(k, tables, half_cubic_bound(k) - 1, deadline).run()
+        limit = _RECORDS[k][-1] if k in _RECORDS else half_cubic_bound(k) - 1
+        search = _Search(k, tables, limit, deadline).run()
         searches.append(search)
         if search.timed_out:
             break
@@ -220,12 +235,12 @@ def search_optimal(config: SearchConfig) -> SearchResult:
 
     Order n reads G(2..n-2).  The tail table gives G(2..8); one pass
     through the orders proves the rest with the same kernel, then runs
-    branch-and-bound at order n from the half-cubic construction; nodes are
-    summed over the pass.
+    branch-and-bound at order n from its record; nodes are summed over the
+    pass.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
     expires, at order n or a smaller one, the best incumbent so far is
-    returned with optimal=False.
+    returned with optimal=False: order n's last ruler, else the one it starts from.
     """
     n = config.order
     start = time.monotonic()
@@ -234,7 +249,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     tables = list(_tail_tables())
     searches = _search_orders([*range(len(tables) + 1, n - 1), n], tables, deadline)
     last = searches[-1]
-    best = (last.n == n and last.best) or construct_half_cubic(n).marks
+    best = (last.n == n and last.best) or _RECORDS.get(n) or construct_half_cubic(n).marks
     return SearchResult(
         ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
         nodes_explored=sum(search.nodes for search in searches),

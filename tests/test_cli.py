@@ -277,7 +277,13 @@ class TestSearch:
     def test_zero_timeout_stops_at_once(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "9", "--timeout", "0s")
         assert code == 3
-        assert "length: 120\noptimal: no\n" in out  # the half-cubic ruler
+        assert "length: 44\noptimal: no\n" in out  # the record for order 9
+
+    def test_short_timeout_returns_the_record(self, capsys):
+        # the proof of G(12) takes seconds; its incumbent is the optimum all along
+        code, out, _ = run(capsys, "search", "--n", "12", "--timeout", "50ms")
+        assert code == 3
+        assert "length: 85\noptimal: no\n" in out
 
     def test_order_cap(self, capsys):
         code, _, err = run(capsys, "search", "--n", "16")

@@ -15,7 +15,7 @@ from golomb import (
     verify_graceful,
 )
 from golomb import tails
-from golomb.search import _Search, _tail_tables
+from golomb.search import _RECORDS, _Search, _tail_tables
 
 
 def naive_optimal(n):
@@ -38,11 +38,22 @@ TAILS_SHA256 = "ca485fa9cf25d234a78285715f96ca91aec1416aee2331aa295753c33332d5a9
 
 KNOWN_OPTIMA = {2: 1, 3: 3, 4: 6, 5: 11, 6: 17, 7: 25, 8: 34, 9: 44}
 
+# G(n) up to the search cap, as published (Dollas, Rankin & McCracken 1998;
+# distributed.net OGR-14 and OGR-15 confirmed 127 and 151)
+PUBLISHED_LENGTHS = {**KNOWN_OPTIMA, 10: 55, 11: 72, 12: 85, 13: 106, 14: 127, 15: 151}
+
+# the lex-min optimal rulers the search proves; the prove-g13 CI job checks 13
+PINNED_RULERS = {
+    10: (0, 1, 6, 10, 23, 26, 34, 41, 53, 55),
+    11: (0, 1, 4, 13, 28, 33, 47, 54, 64, 70, 72),
+    13: (0, 2, 5, 25, 37, 43, 59, 70, 85, 89, 98, 99, 106),
+}
+
 # nodes_explored of search_optimal, summed over the pass through the orders;
 # a change to a bound updates this table and states the old and new counts
 NODE_COUNTS = {
-    2: 0, 3: 1, 4: 7, 5: 23, 6: 93, 7: 442, 8: 1_797, 9: 5_954, 10: 26_848,
-    11: 714_890,
+    2: 0, 3: 2, 4: 6, 5: 22, 6: 91, 7: 420, 8: 1_665, 9: 5_455, 10: 19_458,
+    11: 692_031,
 }
 
 
@@ -105,7 +116,7 @@ class TestSearchOptimal:
 
         monkeypatch.setattr(_Search, "_record", keeping_record)
         search_optimal(SearchConfig(order=n, time_limit=time_limit))
-        assert recorded or n <= 3  # the half-cubic ruler is optimal at n = 2, 3
+        assert recorded or n == 2  # order 2 has no first gap under its bound
         for marks in recorded:
             assert marks[1] - marks[0] < marks[-1] - marks[-2], marks
 
@@ -137,12 +148,12 @@ class TestSearchOptimal:
         assert result.nodes_explored == NODE_COUNTS[n]
         if n == 11:  # the one proof whose tails reach past the table, k = 8
             assert result.optimal
-            assert result.ruler.marks == (0, 1, 4, 13, 28, 33, 47, 54, 64, 70, 72)
+            assert result.ruler.marks == PINNED_RULERS[11]
 
     def test_proves_n10(self):
         result = search_optimal(SearchConfig(order=10))
         assert result.optimal
-        assert result.ruler.marks == (0, 1, 6, 10, 23, 26, 34, 41, 53, 55)
+        assert result.ruler.marks == PINNED_RULERS[10]
 
     def test_order_too_small(self):
         with pytest.raises(ValueError):
@@ -157,22 +168,29 @@ class TestSearchOptimal:
     def test_timeout_returns_incumbent(self):
         result = search_optimal(SearchConfig(order=11, time_limit=0.05))
         assert not result.optimal
-        assert result.length <= half_cubic_bound(11)
-        from golomb import verify_graceful
-
+        # order 11 starts at its record, so it has no longer ruler to return
+        assert result.length == PUBLISHED_LENGTHS[11]
         assert verify_graceful(result.ruler).graceful
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_zero_time_limit_returns_the_record(self, n):
+        result = search_optimal(SearchConfig(order=n, time_limit=0.0))
+        assert not result.optimal
+        assert result.length == PUBLISHED_LENGTHS[n]
+        assert len(result.ruler.marks) == n
+        assert is_golomb(result.ruler.marks)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_deadline_reaches_sub_searches(self, jobs):
-        # the table gives G(2..8); G(9) takes about 0.007 s and G(10) about
-        # 0.032 s more on a 2-core host, so the limit expires in the G(10)
-        # sub-search and the half-cubic incumbent comes back
+        # the table gives G(2..8); G(9) takes about 0.006 s and G(10) about
+        # 0.02 s more on a 2-core host, so the limit expires in the G(10)
+        # sub-search and the order-12 record comes back
         start = time.monotonic()
         result = search_optimal(SearchConfig(order=12, time_limit=0.01, parallelism=jobs))
         assert time.monotonic() - start < 1.0
         assert not result.optimal
         assert verify_graceful(result.ruler).graceful
-        assert result.ruler.marks == construct_half_cubic(12).marks
+        assert result.ruler.marks == (0, 2, 6, 24, 29, 40, 43, 55, 68, 75, 76, 85)
 
     @pytest.mark.parametrize(
         "n, orders",
@@ -197,6 +215,37 @@ class TestSearchOptimal:
         assert par.optimal
         assert par.length == seq.length
         assert par.ruler.marks == seq.ruler.marks
+
+
+class TestRecords:
+    """The published rulers that each order's search starts from decide no result."""
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_record_is_a_canonical_optimal_ruler(self, n):
+        marks = _RECORDS[n]
+        assert len(marks) == n and marks[0] == 0
+        assert is_golomb(marks)
+        assert marks == canonical(marks)
+        assert marks[-1] == PUBLISHED_LENGTHS[n]
+        assert marks == PINNED_RULERS.get(n, marks)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_search_from_the_half_cubic_bound_finds_the_same_ruler(self, n):
+        # the half-cubic ruler is optimal at n = 3, where nothing shorter is found
+        full = _Search(n, _tail_tables(), half_cubic_bound(n) - 1, None).run()
+        assert not full.timed_out
+        assert (full.best or construct_half_cubic(n).marks) == search_optimal(SearchConfig(order=n)).ruler.marks
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 10, 11])
+    def test_half_cubic_records_change_no_result(self, monkeypatch, n):
+        # a valid but longer record costs nodes only; at n = 11 order 9 starts there too
+        expected = search_optimal(SearchConfig(order=n))
+        for k in range(2, 16):
+            monkeypatch.setitem(_RECORDS, k, construct_half_cubic(k).marks)
+        result = search_optimal(SearchConfig(order=n))
+        assert result.optimal
+        assert result.ruler.marks == expected.ruler.marks
+        assert result.nodes_explored >= expected.nodes_explored
 
 
 def canonical(marks):
