@@ -27,7 +27,7 @@ from .constructions import (
     half_cubic_bound,
     quadratic_sequence,
 )
-from .search import BenchRow, SearchConfig, compare_constructions, search_optimal
+from .search import SEARCH_MAX_ORDER, BenchRow, SearchConfig, compare_constructions, search_optimal
 
 SCHEMA = "golomb/1"
 
@@ -36,7 +36,6 @@ EXIT_NOT_GRACEFUL = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
-SEARCH_MAX_ORDER = 15
 BENCH_MAX_ORDER = 10_000  # bench holds every row of its table before printing any
 RULER_MAX_ORDER = 2000  # construct and verify hold all C(n,2) differences, triangle writes them
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
@@ -267,8 +266,6 @@ BENCH_COLUMNS = BenchRow._fields
 def cmd_bench(args) -> int:
     if args.exact_cutoff < 0:
         raise UsageError("--exact-cutoff must be at least 0, got %d" % args.exact_cutoff)
-    if min(args.n_max, args.exact_cutoff) > SEARCH_MAX_ORDER:
-        raise UsageError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
     if args.n_max > BENCH_MAX_ORDER:
         raise UsageError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import NamedTuple, Optional, Tuple
 
@@ -130,10 +130,8 @@ def build_difference_triangle(ruler: Ruler) -> DifferenceTriangle:
     marks = ruler.marks
     # Ruler guarantees 0 = marks[0] < ... < marks[-1] <= U64_MAX, so every
     # difference lies in [1, U64_MAX].  Row i ends at the (i+1)-th mark, 1-based.
-    entries = []
-    for i in range(1, n):
-        entries.extend(_row(marks, i))
-    return DifferenceTriangle(order=n, entries=tuple(entries))
+    entries = tuple(chain.from_iterable(_row(marks, i) for i in range(1, n)))
+    return DifferenceTriangle(order=n, entries=entries)
 
 
 def verify_graceful(ruler: Ruler) -> GracefulnessReport:

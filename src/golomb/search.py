@@ -33,13 +33,12 @@ Order n reads only tables[:n-2], G(k) for k <= n-2 (see ``_Search.run``), so
 proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
 
 Each order's search starts at the length of its published optimum in
-``_RECORDS`` (the half-cubic construction above order 15), inclusive: it
-re-finds the lex-min ruler of that length and exhausts every shorter one, so
-the record decides no result.  Mirror symmetry is broken by the first-gap
-bound in ``_Search.run``, and the first-gap order yields the canonical ruler
-directly: every ruler it records has its first gap below its last, so the
-reported ruler is the lexicographically smallest mark sequence among
-co-minimal ones.
+``_RECORDS``, inclusive: it re-finds the lex-min ruler of that length and
+exhausts every shorter one, so the record decides no result.  Mirror
+symmetry is broken by the first-gap bound in ``_Search.run``, and the
+first-gap order yields the canonical ruler directly: every ruler it records
+has its first gap below its last, so the reported ruler is the
+lexicographically smallest mark sequence among co-minimal ones.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Ruler, lower_bound
 from .constructions import (
-    construct_half_cubic,
     cubic_bound,
     half_cubic_bound,
     pow2_bound,
@@ -75,6 +73,7 @@ _RECORDS = {
     14: (0, 4, 6, 20, 35, 52, 59, 77, 78, 86, 89, 99, 122, 127),
     15: (0, 4, 20, 30, 57, 59, 62, 76, 100, 111, 123, 136, 144, 145, 151),
 }
+SEARCH_MAX_ORDER = max(_RECORDS)  # the search covers exactly the orders it has a record for
 
 
 class _SearchConfigFields(NamedTuple):
@@ -89,6 +88,10 @@ class SearchConfig(_SearchConfigFields):
     def __new__(cls, order, time_limit=None, parallelism=1):
         if order < 2:
             raise ValueError("order must be at least 2, got %d" % order)
+        if order > SEARCH_MAX_ORDER:
+            raise ValueError(
+                "exact search is limited to orders up to %d, got %d" % (SEARCH_MAX_ORDER, order)
+            )
         if time_limit is not None and not time_limit >= 0:  # NaN too: no deadline would pass it
             raise ValueError("time_limit must be a non-negative number, got %r" % time_limit)
         if parallelism < 1:
@@ -118,7 +121,7 @@ def _tail_tables() -> Tuple[Sequence[int], ...]:
 
 
 class _Stop(Exception):
-    """Unwinds the kernel at the deadline or once a ruler at or below the floor is recorded."""
+    """Unwinds the kernel at the deadline."""
 
 
 class _Search:
@@ -128,15 +131,13 @@ class _Search:
     marks 0 and 1 read none.  ``limit`` is the largest length still worth
     finding; a ruler found at length L lowers it to L - 1, so among rulers
     of one length the first found, the lexicographically smallest, is kept.
-    A ruler no longer than ``floor`` ends the search.
     """
 
-    def __init__(self, n: int, tables: Sequence, limit: int, deadline: Optional[float], floor=0):
+    def __init__(self, n: int, tables: Sequence, limit: int, deadline: Optional[float]):
         self.n = n
         self.blocks = [None, None, *tables[:n - 2][::-1]]
         self.limit = limit
         self.deadline = deadline
-        self.floor = floor
         self.best: Optional[Tuple[int, ...]] = None
         self.nodes = 0
         self.timed_out = False
@@ -202,8 +203,6 @@ class _Search:
     def _record(self, span: int, lst: int) -> None:
         self.best = tuple(span - i for i in range(span, 0, -1) if lst >> i & 1) + (span,)
         self.limit = span - 1
-        if span <= self.floor:
-            raise _Stop
 
 
 def _search_orders(
@@ -214,14 +213,13 @@ def _search_orders(
     Order k reads T_0..T_{k-3}, which the file gives or an earlier order in
     ``orders`` appends: once order k is proved, G(k) = T_{k-1}({}) goes in as
     table k-1, the same for every key, if that is the next table.  Order k
-    runs under the length of its record inclusive, or half_cubic_bound(k) - 1
-    above the records, so a finished search has found a ruler and leaves
-    limit + 1 == G(k).  The loop stops after a search that times out.
+    runs under the length of its record inclusive, so a finished search has
+    found a ruler and leaves limit + 1 == G(k).  The loop stops after a
+    search that times out.
     """
     searches = []
     for k in orders:
-        limit = _RECORDS[k][-1] if k in _RECORDS else half_cubic_bound(k) - 1
-        search = _Search(k, tables, limit, deadline).run()
+        search = _Search(k, tables, _RECORDS[k][-1], deadline).run()
         searches.append(search)
         if search.timed_out:
             break
@@ -249,7 +247,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     tables = list(_tail_tables())
     searches = _search_orders([*range(len(tables) + 1, n - 1), n], tables, deadline)
     last = searches[-1]
-    best = (last.n == n and last.best) or _RECORDS.get(n) or construct_half_cubic(n).marks
+    best = (last.n == n and last.best) or _RECORDS[n]
     return SearchResult(
         ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
         nodes_explored=sum(search.nodes for search in searches),
@@ -282,6 +280,8 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     if n_max < 2:
         raise ValueError("n_max must be at least 2, got %d" % n_max)
     top = min(n_max, exact_cutoff)
+    if top > SEARCH_MAX_ORDER:
+        raise ValueError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
     tables = list(_tail_tables())
     _search_orders(range(len(tables) + 1, top + 1), tables, None)
     rows = []

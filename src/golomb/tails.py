@@ -9,24 +9,22 @@ T_1(F) is the smallest difference missing from F, 17 when F holds all of
 1..16.  The search reads how far k goes from the file's length, and G(k+1)
 as T_k({}), the first byte of each block.
 
-Each entry is exact, and each is one search.  T_k(F) is at least T_k(F')
-for every F' inside F, so keys run in increasing order and the largest
-T_k(F without one of its differences) is a floor, k when F is empty.  A
-k-mark ruler that avoids F and spans T_{k-1}(F) gives a (k+1)-mark one of
-span T_{k-1}(F) + max(T_{k-1}(F), 16) + 1: every difference the new mark
-adds exceeds both 16 and the old span, so none is in F or repeats one.  From
-that feasible length the search kernel, ``golomb.search._Search``, runs the
-order-(k+1) search with F taken as differences already used and the marks
-still to come bounded by the tables of smaller k.  Each ruler it finds
-lowers its limit; it stops at the first ruler no longer than the floor, or
-when no shorter one exists, so the last ruler found spans T_k(F).
+Each entry is exact, and each is one search that reads only the blocks of
+smaller k.  A k-mark ruler that avoids F and spans T_{k-1}(F) gives a
+(k+1)-mark one of span T_{k-1}(F) + max(T_{k-1}(F), 16) + 1: every
+difference the new mark adds exceeds both 16 and the old span, so none is
+in F or repeats one.  From that feasible length the search kernel,
+``golomb.search._Search``, runs the order-(k+1) search with F taken as
+differences already used and the marks still to come bounded by the tables
+of smaller k.  Each ruler it finds lowers its limit until no shorter one
+exists, so the last ruler found spans T_k(F).
 
 This is a maintenance tool, not part of the library's interface::
 
     python -m golomb.tails          # rewrite tails.bin
     python -m golomb.tails --check  # rebuild and compare byte for byte
 
-A build takes 29-43 s of CPU on one core (2-core shared host, Python 3.11.7),
+A build takes 26-45 s of CPU on one core (2-core shared host, Python 3.11.7),
 nearly all of it in the k = 6 and 7 blocks.
 """
 
@@ -40,11 +38,11 @@ from .search import _KEY_BITS, _KEYS, _TABLE_PATH, _Search
 K_MAX = 7
 
 
-def _shortest(k: int, key: int, floor: int, tables) -> int:
-    """T_k(key), given a lower bound ``floor`` and ``tables`` holding T_0..T_{k-1}."""
+def _shortest(k: int, key: int, tables) -> int:
+    """T_k(key), given ``tables`` holding T_0..T_{k-1}."""
     inner = tables[k - 1][key]  # T_{k-1}(F): one mark far beyond it gives a feasible length
     limit = inner + max(inner, _KEY_BITS) + 1
-    return _Search(k + 1, tables, limit, None, floor).run(key << 1).best[-1]
+    return _Search(k + 1, tables, limit, None).run(key << 1).best[-1]
 
 
 def build() -> bytes:
@@ -52,11 +50,7 @@ def build() -> bytes:
     # T_0 = 0, which the file leaves out, and T_1 is the smallest difference missing from F
     tables = [bytes(_KEYS), bytes((~key & (key + 1)).bit_length() for key in range(_KEYS))]
     for k in range(2, K_MAX + 1):
-        table = bytearray(_KEYS)
-        for key in range(_KEYS):
-            subs = [table[key & ~(1 << i)] for i in range(_KEY_BITS) if key >> i & 1]
-            table[key] = _shortest(k, key, max(subs, default=k), tables)  # k + 1 marks span >= k
-        tables.append(bytes(table))
+        tables.append(bytes(_shortest(k, key, tables) for key in range(_KEYS)))
     return b"".join(tables[1:])
 
 

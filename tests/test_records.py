@@ -100,6 +100,7 @@ def test_ruler_stores_its_marks_as_a_tuple():
         (lambda: QuadraticFamilyParams(1, 1, -3), ValueError,
          "constraint violated: c must exceed -a - 2b"),
         (lambda: SearchConfig(1), ValueError, "order must be at least 2, got 1"),
+        (lambda: SearchConfig(16), ValueError, "exact search is limited to orders up to 15, got 16"),
         (lambda: SearchConfig(8, parallelism=0), ValueError, "parallelism must be at least 1"),
     ],
 )

@@ -130,18 +130,6 @@ class TestSearchOptimal:
         at = _Search(n, _tail_tables(), marks[-1], None).run()
         assert at.best == marks
 
-    @pytest.mark.parametrize("n", range(3, 10))
-    def test_floor_at_the_optimum_keeps_the_ruler(self, n):
-        def search(floor):
-            return _Search(n, _tail_tables(), half_cubic_bound(n) - 1, None, floor).run()
-
-        full, floored = search(0), search(KNOWN_OPTIMA[n])
-        assert floored.best == full.best
-        assert floored.nodes <= full.nodes
-        # it stops at the optimum instead of proving it; at n = 3 the
-        # half-cubic ruler is optimal and neither search finds a ruler
-        assert floored.nodes < full.nodes or n == 3
-
     @pytest.mark.parametrize("n", sorted(NODE_COUNTS))
     def test_node_count(self, n):
         result = search_optimal(SearchConfig(order=n))
@@ -406,7 +394,7 @@ class TestTailTable:
         span = shortest_avoiding(k, forbidden)
 
         def search(limit):
-            return _Search(k + 1, _tail_tables(), limit, None, floor=limit).run(key << 1)
+            return _Search(k + 1, _tail_tables(), limit, None).run(key << 1)
 
         assert search(span - 1).best is None
         marks = search(span).best
@@ -415,22 +403,22 @@ class TestTailTable:
 
     @pytest.mark.parametrize("key", [0x0001, 0x0420, 0x8001, 0xC209, 0xD82C])
     def test_builder_reproduces_long_tails(self, key):
-        # the k = 6 keys of test_long_tails_match_a_set_search, from T_6({})
-        span = tails._shortest(6, key, table_tail(6, set()), _tail_tables())
+        # the k = 6 keys of test_long_tails_match_a_set_search
+        span = tails._shortest(6, key, _tail_tables())
         assert span == table_tail(6, {i + 1 for i in range(16) if key >> i & 1})
 
     @pytest.mark.parametrize("k", [2, 3])
     @given(key=st.integers(min_value=0, max_value=0xFFFF))
-    def test_builder_exhausts_from_the_trivial_floor(self, k, key):
-        # k + 1 >= 3 marks span more than k, so no ruler reaches the floor: the search must exhaust
+    def test_builder_matches_brute_force(self, k, key):
+        # the search runs from a feasible length until no shorter ruler is left
         forbidden = {i + 1 for i in range(16) if key >> i & 1}
-        assert tails._shortest(k, key, k, _tail_tables()) == shortest_avoiding(k, forbidden)
+        assert tails._shortest(k, key, _tail_tables()) == shortest_avoiding(k, forbidden)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @given(key=st.integers(min_value=0, max_value=0xFFFF))
-    def test_builder_stops_at_a_tight_floor(self, k, key):
-        span = _tail_tables()[k][key]
-        assert tails._shortest(k, key, span, _tail_tables()) == span
+    def test_builder_reproduces_the_table(self, k, key):
+        # each entry is one search over the tables of smaller k, whatever the key order
+        assert tails._shortest(k, key, _tail_tables()) == _tail_tables()[k][key]
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_no_forbidden_difference_gives_the_optimum(self, k):
@@ -448,6 +436,34 @@ class TestTailTable:
         data = b"".join(bytes(table) for table in tables[1:])
         assert len(data) == 7 * 65_536
         assert hashlib.sha256(data).hexdigest() == TAILS_SHA256
+
+
+class TestTailsFrontEnd:
+    """``python -m golomb.tails``: rewrite the table, or rebuild and compare."""
+
+    @pytest.fixture
+    def table(self, monkeypatch, tmp_path):
+        path = tmp_path / "tails.bin"
+        monkeypatch.setattr(tails, "build", lambda: b"\x01\x02\x03")
+        monkeypatch.setattr(tails, "_TABLE_PATH", str(path))
+        return path
+
+    def test_check_matches(self, table, capsys):
+        table.write_bytes(b"\x01\x02\x03")
+        assert tails.main(["--check"]) == 0
+        assert capsys.readouterr().out == "%s: matches\n" % table
+
+    def test_check_differs(self, table, capsys):
+        table.write_bytes(b"\x01\x02")
+        assert tails.main(["--check"]) == 1
+        assert capsys.readouterr().out == "%s: DIFFERS from a rebuild\n" % table
+        assert table.read_bytes() == b"\x01\x02"
+
+    def test_write(self, table, capsys):
+        table.write_bytes(b"old")
+        assert tails.main([]) == 0
+        assert capsys.readouterr().out == "%s: 3 bytes written\n" % table
+        assert table.read_bytes() == b"\x01\x02\x03"
 
 
 class TestCompareConstructions:
@@ -499,3 +515,14 @@ class TestCompareConstructions:
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
             compare_constructions(1)
+
+    def test_exact_search_above_the_records_is_refused(self, monkeypatch):
+        def run(self):
+            raise AssertionError("exact search started")
+
+        monkeypatch.setattr(_Search, "run", run)
+        for n_max, cutoff in ((16, 16), (40, 20)):
+            with pytest.raises(ValueError, match="^exact search is limited to orders up to 15$"):
+                compare_constructions(n_max, exact_cutoff=cutoff)
+        # only the searched orders meet the cap
+        assert compare_constructions(20, exact_cutoff=4)[-1].optimal is None
