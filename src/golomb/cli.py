@@ -27,7 +27,7 @@ from .constructions import (
     half_cubic_bound,
     quadratic_sequence,
 )
-from .search import SEARCH_MAX_ORDER, BenchRow, SearchConfig, compare_constructions, search_optimal
+from .search import BenchRow, SearchConfig, compare_constructions, search_optimal
 
 SCHEMA = "golomb/1"
 
@@ -54,15 +54,11 @@ METHODS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_duration(text: str) -> float:
     """Parse '250ms', '1.5s', '2m', or a bare number of seconds."""
     m = re.fullmatch(r"\s*([0-9]*\.?[0-9]+)\s*(us|ms|s|m)?\s*", text)
     if not m:
-        raise UsageError("cannot parse duration %r" % text)
+        raise ValueError("cannot parse duration %r" % text)
     value = float(m.group(1))
     unit = m.group(2) or "s"
     scale = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0}[unit]
@@ -101,14 +97,14 @@ def _render_report(report: GracefulnessReport, fmt: str, extra: dict) -> None:
 
 def _check_order(n: int) -> None:
     if n > RULER_MAX_ORDER:
-        raise UsageError("a ruler of %d marks is above the cap of %d" % (n, RULER_MAX_ORDER))
+        raise ValueError("a ruler of %d marks is above the cap of %d" % (n, RULER_MAX_ORDER))
 
 
 def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
     if method == "triangular" and modulus is None:
-        raise UsageError("--modulus is required for --method triangular")
+        raise ValueError("--modulus is required for --method triangular")
     if method != "triangular" and modulus is not None:
-        raise UsageError("--modulus only applies to --method triangular")
+        raise ValueError("--modulus only applies to --method triangular")
     _check_order(n)
     build, _ = METHODS[method]
     return build(n, modulus)
@@ -143,21 +139,21 @@ def _read_mark_lines(path: str) -> List[List[int]]:
             try:
                 rulers.append([int(tok) for tok in line.split()])
             except ValueError:
-                raise UsageError("%s:%d: cannot parse marks" % (path, lineno))
+                raise ValueError("%s:%d: cannot parse marks" % (path, lineno))
     if not rulers:
-        raise UsageError("%s: no rulers found" % path)
+        raise ValueError("%s: no rulers found" % path)
     return rulers
 
 
 def _normalize_marks(raw: Sequence[int]) -> Tuple[Ruler, int]:
     if not raw:
-        raise UsageError("need at least one mark")
+        raise ValueError("need at least one mark")
     _check_order(len(raw))
     for a, b in zip(raw, raw[1:]):
         if b == a:
-            raise UsageError("duplicate mark %d in input" % a)
+            raise ValueError("duplicate mark %d in input" % a)
         if b < a:
-            raise UsageError("marks must be sorted increasing")
+            raise ValueError("marks must be sorted increasing")
     shift = raw[0]
     return Ruler(tuple(m - shift for m in raw)), shift
 
@@ -165,11 +161,11 @@ def _normalize_marks(raw: Sequence[int]) -> Tuple[Ruler, int]:
 def cmd_verify(args) -> int:
     if args.file is not None:
         if args.marks:
-            raise UsageError("give marks as arguments or --file, not both")
+            raise ValueError("give marks as arguments or --file, not both")
         mark_lists = _read_mark_lines(args.file)
     else:
         if not args.marks:
-            raise UsageError("no marks given")
+            raise ValueError("no marks given")
         mark_lists = [args.marks]
 
     worst = EXIT_OK
@@ -203,18 +199,18 @@ def cmd_verify(args) -> int:
 def cmd_triangle(args) -> int:
     if args.method is not None:
         if args.marks:
-            raise UsageError("give marks or --method, not both")
+            raise ValueError("give marks or --method, not both")
         if args.n is None:
-            raise UsageError("--method needs --n")
+            raise ValueError("--method needs --n")
         ruler = _build(args.method, args.n, args.modulus)
     else:
         if not args.marks:
-            raise UsageError("no marks given")
+            raise ValueError("no marks given")
         if args.n is not None or args.modulus is not None:
-            raise UsageError("--n and --modulus only apply with --method")
+            raise ValueError("--n and --modulus only apply with --method")
         ruler, _ = _normalize_marks(args.marks)
     if ruler.order < 2:
-        raise UsageError("triangle needs at least 2 marks")
+        raise ValueError("triangle needs at least 2 marks")
     marks = ruler.marks
     rows = range(1, len(marks))
     if args.format == "json":
@@ -231,11 +227,6 @@ def cmd_triangle(args) -> int:
 
 def cmd_search(args) -> int:
     n = args.n
-    if not (2 <= n <= SEARCH_MAX_ORDER):
-        raise UsageError(
-            "order must be between 2 and %d; larger orders need project-scale "
-            "distributed search, which this tool does not attempt" % SEARCH_MAX_ORDER
-        )
     time_limit = _parse_duration(args.timeout) if args.timeout is not None else None
     config = SearchConfig(order=n, time_limit=time_limit, parallelism=args.jobs)
     result = search_optimal(config)
@@ -265,9 +256,9 @@ BENCH_COLUMNS = BenchRow._fields
 
 def cmd_bench(args) -> int:
     if args.exact_cutoff < 0:
-        raise UsageError("--exact-cutoff must be at least 0, got %d" % args.exact_cutoff)
+        raise ValueError("--exact-cutoff must be at least 0, got %d" % args.exact_cutoff)
     if args.n_max > BENCH_MAX_ORDER:
-        raise UsageError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
+        raise ValueError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
     if args.format == "json":
         _emit({"schema": SCHEMA, "rows": [r._asdict() for r in rows]})
@@ -287,7 +278,7 @@ def cmd_counterexample(args) -> int:
     params = QuadraticFamilyParams(a=args.a, b=args.b, c=args.c)
     witness = find_quadratic_collision(params)
     if witness.n > COUNTEREXAMPLE_MAX_TERMS:
-        raise UsageError(
+        raise ValueError(
             "the collision needs %d sequence terms, above the cap of %d terms"
             % (witness.n, COUNTEREXAMPLE_MAX_TERMS)
         )
@@ -398,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

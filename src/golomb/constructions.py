@@ -132,7 +132,7 @@ def cubic_bound(n: int) -> int:
 
 def half_cubic_bound(n: int) -> int:
     """Length of the half-cubic ruler: C(n-1,2)*floor(n/2) + (n-1)."""
-    return _triangular_length(n, n // 2)
+    return _triangular_length(n, half_cubic_modulus(n))
 
 
 def shifted_cubic_bound(n: int) -> int:
@@ -161,8 +161,6 @@ def _star_margin(n: int) -> int:
     The difference is j^2 + (N-n+1)j + N(N-1)/2 + 1, a convex quadratic in j,
     so its minimum over the columns lies at an endpoint or next to the vertex.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2, got %d" % n)
     mod = half_cubic_modulus(n)
     vertex = (n - 1 - mod) // 2
     columns = {1, mod} | {j for j in (vertex, vertex + 1) if 1 <= j <= mod}

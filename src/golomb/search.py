@@ -36,9 +36,10 @@ Each order's search starts at the length of its published optimum in
 ``_RECORDS``, inclusive: it re-finds the lex-min ruler of that length and
 exhausts every shorter one, so the record decides no result.  Mirror
 symmetry is broken by the first-gap bound in ``_Search.run``, and the
-first-gap order yields the canonical ruler directly: every ruler it records
-has its first gap below its last, so the reported ruler is the
-lexicographically smallest mark sequence among co-minimal ones.
+first-gap order yields the canonical ruler directly: from n = 3 every ruler
+it records has its first gap below its last (a 2-mark ruler's one gap is
+both), so the reported ruler is the lexicographically smallest mark
+sequence among co-minimal ones.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class SearchResult(NamedTuple):
 
 
 @functools.cache
-def _tail_tables() -> Tuple[Sequence[int], ...]:
+def _tail_tables() -> Tuple[bytes, ...]:
     """T_k(F) by k, from k = 0: table k maps the key of F to T_k(F).
 
     T_0 = 0.  ``tails.bin``, which ``golomb.tails`` builds, holds one
@@ -116,8 +117,7 @@ def _tail_tables() -> Tuple[Sequence[int], ...]:
     goes.  Callers copy this into a list to append the tables they prove.
     """
     with open(_TABLE_PATH, "rb") as fh:
-        data = memoryview(fh.read())
-    return (bytes(_KEYS),) + tuple(data[i:i + _KEYS] for i in range(0, len(data), _KEYS))
+        return (bytes(_KEYS), *iter(lambda: fh.read(_KEYS), b""))
 
 
 class _Stop(Exception):
@@ -148,19 +148,21 @@ class _Search:
         First gaps run in ascending order under a limit that only falls, so
         a ruler whose last gap is below its first has its mirror found
         first, which lowers the limit below its length; an equal last gap
-        repeats a difference.  So every recorded ruler has its first gap
-        below its last and is canonical as found.  Marks 1..n-2 form an
-        (n-2)-mark ruler that avoids ``forbidden``, so they span at least
-        ``inner``, block 2 at its key (G(n-2) in the order pass), and twice
-        the first gap fits in limit - inner; the bound is read again after
-        each first gap.  It implies first gap <= limit - G(n-1) whenever
-        limit >= 2 G(n-1) - G(n-2), so the search does without G(n-1).
+        repeats a difference.  So from n = 3 every recorded ruler has its
+        first gap below its last and is canonical as found.  Marks 1..n-2
+        form an (n-2)-mark ruler that avoids ``forbidden``, so they span at
+        least ``inner``, block 2 at its key (G(n-2) in the order pass), and
+        twice the first gap fits in limit - inner; the bound is read again
+        after each first gap.  It implies first gap <= limit - G(n-1)
+        whenever limit >= 2 G(n-1) - G(n-2), so the search does without
+        G(n-1).  At n = 2 the first gap is also the last, so it may take the
+        whole limit.
         """
-        inner = self.blocks[2][(forbidden >> 1) & _KEY_MASK] if self.n > 2 else 0
+        inner, twice = (self.blocks[2][(forbidden >> 1) & _KEY_MASK], 2) if self.n > 2 else (0, 1)
         try:
             self._tick()
             gap = 1
-            while gap <= (self.limit - inner) // 2:
+            while twice * gap + inner <= self.limit:
                 if not forbidden >> gap & 1:
                     self._dfs(1, 0, 0, forbidden, forbidden, gap)
                 gap += 1

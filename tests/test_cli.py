@@ -261,6 +261,7 @@ class TestSearch:
         code, out, _ = run(capsys, "search", "--n", "2")
         assert code == 0
         assert "marks: 0 1" in out
+        assert "nodes: 1\n" in out  # order 2 searches like any other
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "6", "--format", "json")
@@ -286,9 +287,13 @@ class TestSearch:
         assert "length: 85\noptimal: no\n" in out
 
     def test_order_cap(self, capsys):
-        code, _, err = run(capsys, "search", "--n", "16")
-        assert code == 2
-        assert "between 2 and 15" in err
+        # SearchConfig refuses both ends of the range, and main maps that to exit 2
+        for n, message in [
+            (1, "order must be at least 2, got 1"),
+            (16, "exact search is limited to orders up to 15, got 16"),
+        ]:
+            code, out, err = run(capsys, "search", "--n", str(n))
+            assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_bad_timeout(self, capsys):
         code, _, err = run(capsys, "search", "--n", "5", "--timeout", "soon")
