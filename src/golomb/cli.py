@@ -14,7 +14,7 @@ import signal
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .core import CollisionSite, GracefulnessReport, Ruler, _row, verify_graceful
+from .core import GracefulnessReport, Ruler, _row, verify_graceful
 from .constructions import (
     QuadraticFamilyParams,
     TriangularParams,
@@ -41,16 +41,13 @@ RULER_MAX_ORDER = 2000  # construct and verify hold all C(n,2) differences, tria
 COUNTEREXAMPLE_MAX_TERMS = 10**6  # counterexample prints the whole sequence
 _TERMS_PER_WRITE = 4096  # counterexample writes its sequence this many terms at a time
 
-# --method name -> (builder(n, modulus), length bound(n) or None); only
-# triangular uses the modulus
+# --method name -> (builder(n), length bound(n) or None); triangular also
+# needs --modulus, so _build builds it
 METHODS = {
-    "pow2": (lambda n, modulus: construct_powers_of_two(n), None),
-    "cubic": (lambda n, modulus: construct_cubic(n), cubic_bound),
-    "halfcubic": (lambda n, modulus: construct_half_cubic(n), half_cubic_bound),
-    "triangular": (
-        lambda n, modulus: construct_triangular(TriangularParams(order=n, modulus=modulus)),
-        None,
-    ),
+    "pow2": (construct_powers_of_two, None),
+    "cubic": (construct_cubic, cubic_bound),
+    "halfcubic": (construct_half_cubic, half_cubic_bound),
+    "triangular": (None, None),
 }
 
 
@@ -65,34 +62,32 @@ def _parse_duration(text: str) -> float:
     return value * scale
 
 
-def _witness_json(w: CollisionSite) -> dict:
-    return {"first": list(w.first), "second": list(w.second), "value": w.value}
-
-
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
-def _render_report(report: GracefulnessReport, fmt: str, extra: dict) -> None:
-    if fmt == "json":
-        out = dict(extra)
-        out["graceful"] = report.graceful
-        if report.witness is not None:
-            out["witness"] = _witness_json(report.witness)
-        _emit(out)
-    else:
-        for key, val in extra.items():
-            if key == "marks":
-                print("marks: %s" % " ".join(str(m) for m in val))
-            elif key != "schema":
-                print("%s: %s" % (key, val))
-        print("graceful: %s" % ("yes" if report.graceful else "no"))
-        if report.witness is not None:
-            w = report.witness
-            print(
-                "witness: value %d at (%d,%d) and (%d,%d)"
-                % (w.value, w.first[0], w.first[1], w.second[0], w.second[1])
-            )
+def _print_fields(fields: dict) -> None:
+    """One ``key: value`` line per field; the marks are space-joined."""
+    for key, val in fields.items():
+        print("%s: %s" % (key, " ".join(map(str, val)) if key == "marks" else val))
+
+
+def _report_json(report: GracefulnessReport, obj: dict) -> dict:
+    obj["graceful"] = report.graceful
+    w = report.witness
+    if w is not None:
+        obj["witness"] = {"first": list(w.first), "second": list(w.second), "value": w.value}
+    return obj
+
+
+def _print_report(report: GracefulnessReport) -> None:
+    print("graceful: %s" % ("yes" if report.graceful else "no"))
+    w = report.witness
+    if w is not None:
+        print(
+            "witness: value %d at (%d,%d) and (%d,%d)"
+            % (w.value, w.first[0], w.first[1], w.second[0], w.second[1])
+        )
 
 
 def _check_order(n: int) -> None:
@@ -106,8 +101,10 @@ def _build(method: str, n: int, modulus: Optional[int]) -> Ruler:
     if method != "triangular" and modulus is not None:
         raise ValueError("--modulus only applies to --method triangular")
     _check_order(n)
+    if modulus is not None:
+        return construct_triangular(TriangularParams(order=n, modulus=modulus))
     build, _ = METHODS[method]
-    return build(n, modulus)
+    return build(n)
 
 
 def cmd_construct(args) -> int:
@@ -115,17 +112,15 @@ def cmd_construct(args) -> int:
     n = args.n
     ruler = _build(method, n, args.modulus)
     report = verify_graceful(ruler)
-    extra = {
-        "schema": SCHEMA,
-        "n": n,
-        "method": method,
-        "marks": list(ruler.marks),
-        "length": ruler.length(),
-    }
+    fields = {"n": n, "method": method, "marks": list(ruler.marks), "length": ruler.length()}
     _, bound = METHODS[method]
     if bound is not None:
-        extra["bound"] = bound(n)
-    _render_report(report, args.format, extra)
+        fields["bound"] = bound(n)
+    if args.format == "json":
+        _emit(_report_json(report, {"schema": SCHEMA, **fields}))
+    else:
+        _print_fields(fields)
+        _print_report(report)
     return EXIT_OK if report.graceful else EXIT_NOT_GRACEFUL
 
 
@@ -168,32 +163,28 @@ def cmd_verify(args) -> int:
             raise ValueError("no marks given")
         mark_lists = [args.marks]
 
-    worst = EXIT_OK
     results = []
     for raw in mark_lists:
         ruler, shift = _normalize_marks(raw)
-        report = verify_graceful(ruler)
-        if not report.graceful:
-            worst = EXIT_NOT_GRACEFUL
-        results.append((ruler, shift, report))
+        results.append((ruler, shift, verify_graceful(ruler)))
 
     if args.format == "json":
         objs = []
         for ruler, shift, report in results:
+            # the verdict goes before the shift; _report_json sets it again in place
             obj = {"schema": SCHEMA, "marks": list(ruler.marks), "graceful": report.graceful}
             if shift:
                 obj["normalized_shift"] = shift
-            if report.witness is not None:
-                obj["witness"] = _witness_json(report.witness)
-            objs.append(obj)
+            objs.append(_report_json(report, obj))
         _emit(objs[0] if args.file is None else {"schema": SCHEMA, "results": objs})
     else:
         for ruler, shift, report in results:
-            extra = {"marks": list(ruler.marks)}
+            fields = {"marks": ruler.marks}
             if shift:
-                extra["normalized"] = "shifted by %+d" % -shift
-            _render_report(report, "text", extra)
-    return worst
+                fields["normalized"] = "shifted by %+d" % -shift
+            _print_fields(fields)
+            _print_report(report)
+    return EXIT_OK if all(report.graceful for _, _, report in results) else EXIT_NOT_GRACEFUL
 
 
 def cmd_triangle(args) -> int:
@@ -230,24 +221,18 @@ def cmd_search(args) -> int:
     time_limit = _parse_duration(args.timeout) if args.timeout is not None else None
     config = SearchConfig(order=n, time_limit=time_limit, parallelism=args.jobs)
     result = search_optimal(config)
+    fields = {
+        "marks": list(result.ruler.marks),
+        "length": result.length,
+        "optimal": result.optimal,
+        "nodes": result.nodes_explored,
+    }
     if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "n": n,
-                "marks": list(result.ruler.marks),
-                "length": result.length,
-                "optimal": result.optimal,
-                "nodes": result.nodes_explored,
-                "elapsed_s": round(result.elapsed, 6),
-            }
-        )
+        _emit({"schema": SCHEMA, "n": n, **fields, "elapsed_s": round(result.elapsed, 6)})
     else:
-        print("marks: %s" % " ".join(str(m) for m in result.ruler.marks))
-        print("length: %d" % result.length)
-        print("optimal: %s" % ("yes" if result.optimal else "no"))
-        print("nodes: %d" % result.nodes_explored)
-        print("elapsed: %.3fs" % result.elapsed)
+        # optimal keeps its place in the copy; elapsed comes last
+        optimal = "yes" if result.optimal else "no"
+        _print_fields(dict(fields, optimal=optimal, elapsed="%.3fs" % result.elapsed))
     return EXIT_OK if result.optimal else EXIT_TIMEOUT
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -441,9 +442,8 @@ class TestCounterexample:
             assert out == ""
             assert "cap of 1000000 terms" in err
 
-
     # a = b = 1 gives n = 12 + c: one slice, several, and exactly two
-    @pytest.mark.parametrize("n", [12, 3 * 4096 + 5, 2 * 4096])
+    @pytest.mark.parametrize("n", [12, 3 * cli._TERMS_PER_WRITE + 5, 2 * cli._TERMS_PER_WRITE])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_streamed_output_matches_whole_line(self, capsys, n, fmt):
         params = QuadraticFamilyParams(a=1, b=1, c=n - 12)
@@ -466,6 +466,91 @@ class TestCounterexample:
         assert code == 0
         # equal word lists mean equal text; pytest reports a list's first difference quickly
         assert out.split(" ") == expected.split(" ")
+
+
+class TestExactOutput:
+    """Whole stdout of the record-printing commands: key order, line order and exit code."""
+
+    @pytest.mark.parametrize(
+        "argv,code,text,obj",
+        [
+            (
+                ["construct", "--method", "halfcubic", "--n", "6"],
+                0,
+                "n: 6\nmethod: halfcubic\nmarks: 0 1 5 12 22 35\nlength: 35\nbound: 35\ngraceful: yes\n",
+                '{"schema": "golomb/1", "n": 6, "method": "halfcubic", "marks": [0, 1, 5, 12, 22, 35], '
+                '"length": 35, "bound": 35, "graceful": true}\n',
+            ),
+            (
+                ["construct", "--method", "triangular", "--n", "6", "--modulus", "1"],
+                1,
+                "n: 6\nmethod: triangular\nmarks: 0 1 3 6 10 15\nlength: 15\ngraceful: no\n"
+                "witness: value 3 at (2,2) and (3,1)\n",
+                '{"schema": "golomb/1", "n": 6, "method": "triangular", "marks": [0, 1, 3, 6, 10, 15], '
+                '"length": 15, "graceful": false, "witness": {"first": [2, 2], "second": [3, 1], "value": 3}}\n',
+            ),
+            (
+                ["verify", "5", "6", "9", "14", "16"],
+                0,
+                "marks: 0 1 4 9 11\nnormalized: shifted by -5\ngraceful: yes\n",
+                '{"schema": "golomb/1", "marks": [0, 1, 4, 9, 11], "graceful": true, "normalized_shift": 5}\n',
+            ),
+            (
+                ["verify", "-5", "0", "3"],
+                0,
+                "marks: 0 5 8\nnormalized: shifted by +5\ngraceful: yes\n",
+                '{"schema": "golomb/1", "marks": [0, 5, 8], "graceful": true, "normalized_shift": -5}\n',
+            ),
+            (
+                ["verify", "-5", "-4", "-3"],
+                1,
+                "marks: 0 1 2\nnormalized: shifted by +5\ngraceful: no\nwitness: value 1 at (1,1) and (2,1)\n",
+                '{"schema": "golomb/1", "marks": [0, 1, 2], "graceful": false, "normalized_shift": -5, '
+                '"witness": {"first": [1, 1], "second": [2, 1], "value": 1}}\n',
+            ),
+        ],
+        ids=["construct-bound", "construct-witness", "verify-shift-down", "verify-shift-up", "verify-witness"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_record(self, capsys, argv, code, text, obj, fmt):
+        assert run(capsys, *argv, "--format", fmt) == (code, text if fmt == "text" else obj, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_file(self, capsys, tmp_path, fmt):
+        path = tmp_path / "rulers.txt"
+        path.write_text("# a shifted optimum, a collision, a plain ruler\n3 4 7\n\n0 1 2\n0 1 3\n")
+        if fmt == "text":
+            expected = (
+                "marks: 0 1 4\nnormalized: shifted by -3\ngraceful: yes\n"
+                "marks: 0 1 2\ngraceful: no\nwitness: value 1 at (1,1) and (2,1)\n"
+                "marks: 0 1 3\ngraceful: yes\n"
+            )
+        else:
+            expected = (
+                '{"schema": "golomb/1", "results": ['
+                '{"schema": "golomb/1", "marks": [0, 1, 4], "graceful": true, "normalized_shift": 3}, '
+                '{"schema": "golomb/1", "marks": [0, 1, 2], "graceful": false, '
+                '"witness": {"first": [1, 1], "second": [2, 1], "value": 1}}, '
+                '{"schema": "golomb/1", "marks": [0, 1, 3], "graceful": true}]}\n'
+            )
+        assert run(capsys, "verify", "--file", str(path), "--format", fmt) == (1, expected, "")
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            ("text", "marks: 0 1 4 9 11\nlength: 11\noptimal: yes\nnodes: 22\nelapsed: Xs\n"),
+            (
+                "json",
+                '{"schema": "golomb/1", "n": 5, "marks": [0, 1, 4, 9, 11], "length": 11, '
+                '"optimal": true, "nodes": 22, "elapsed_s": X}\n',
+            ),
+        ],
+        ids=["text", "json"],
+    )
+    def test_search(self, capsys, fmt, expected):
+        code, out, err = run(capsys, "search", "--n", "5", "--format", fmt)
+        masked = re.sub(r"(elapsed: |\"elapsed_s\": )[0-9.e-]+", r"\1X", out)
+        assert (code, masked, err) == (0, expected, "")
 
 
 def test_import_leaves_thread_pool_dataclasses_and_inspect_out():
