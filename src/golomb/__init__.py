@@ -15,10 +15,8 @@ from .core import (
     CollisionSite,
     DifferenceTriangle,
     GracefulnessReport,
-    ResidueForm,
     Ruler,
     build_difference_triangle,
-    decompose_residue,
     lower_bound,
     verify_graceful,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "DifferenceTriangle",
     "GracefulnessReport",
     "QuadraticFamilyParams",
-    "ResidueForm",
     "Ruler",
     "SearchConfig",
     "SearchResult",
@@ -67,7 +64,6 @@ __all__ = [
     "construct_powers_of_two",
     "construct_triangular",
     "cubic_bound",
-    "decompose_residue",
     "find_quadratic_collision",
     "half_cubic_bound",
     "half_cubic_modulus",

@@ -236,9 +236,6 @@ def cmd_search(args) -> int:
     return EXIT_OK if result.optimal else EXIT_TIMEOUT
 
 
-BENCH_COLUMNS = BenchRow._fields
-
-
 def cmd_bench(args) -> int:
     if args.exact_cutoff < 0:
         raise ValueError("--exact-cutoff must be at least 0, got %d" % args.exact_cutoff)
@@ -248,12 +245,12 @@ def cmd_bench(args) -> int:
     if args.format == "json":
         _emit({"schema": SCHEMA, "rows": [r._asdict() for r in rows]})
         return EXIT_OK
-    table = [BENCH_COLUMNS] + [["?" if v is None else str(v) for v in r] for r in rows]
+    table = [BenchRow._fields] + [["?" if v is None else str(v) for v in r] for r in rows]
     if args.format == "csv":
         for row in table:
             print(",".join(row))
     else:
-        widths = [max(len(row[i]) for row in table) for i in range(len(BENCH_COLUMNS))]
+        widths = [max(len(row[i]) for row in table) for i in range(len(BenchRow._fields))]
         for row in table:
             print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return EXIT_OK

@@ -1,10 +1,10 @@
 """Explicit ruler families and the quadratic-formula impossibility engine.
 
-Three constructions are provided: the exponential family x_i = 2^(i-1) - 1,
-the cubic family x_i = C(i-1,2)*n + (i-1), and the half-cubic family which
-swaps the modulus n for roughly n/2 and cuts the length in half.  The
-collision engine certifies that no quadratic polynomial in the index can
-produce a ruler with all differences distinct once the order is large enough.
+The families are x_i = 2^(i-1) - 1 and the triangular x_i = C(i-1,2)*m + (i-1)
+at any modulus m: the cubic (m = n), the half-cubic (m = floor(n/2), about
+half the length) and m = n - 2, which has a length bound only.  For a
+quadratic family inside the constraints of QuadraticFamilyParams, the
+collision engine finds the order at which two of its differences coincide.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class _QuadraticFamilyParamsFields(NamedTuple):
 class QuadraticFamilyParams(_QuadraticFamilyParamsFields):
     """Coefficients of the reduced quadratic x_i = a(i-1)^2 + bn(i-1) + c(i-1).
 
-    The four constraints below are exactly the ones any candidate graceful
-    family must satisfy; everything outside them is trivially non-graceful.
+    The collision engine certifies collisions inside the four constraints
+    below only; no code checks the families outside them.
     """
 
     __slots__ = ()

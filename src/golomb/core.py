@@ -86,29 +86,14 @@ class CollisionSite(NamedTuple):
     value: int
 
 
-class _GracefulnessReportFields(NamedTuple):
-    graceful: bool
-    witness: Optional[CollisionSite]
+class GracefulnessReport(NamedTuple):
+    """Verdict of verify_graceful: a ruler is graceful when no witness exists."""
 
+    witness: Optional[CollisionSite] = None
 
-class GracefulnessReport(_GracefulnessReportFields):
-    __slots__ = ()
-
-    def __new__(cls, graceful, witness=None):
-        if graceful and witness is not None:
-            raise ValueError("graceful report cannot carry a witness")
-        if not graceful and witness is None:
-            raise ValueError("non-graceful report needs a witness")
-        return super().__new__(cls, graceful, witness)
-
-
-class ResidueForm(NamedTuple):
-    """value = quotient * modulus + residue with 0 <= residue < modulus."""
-
-    value: int
-    modulus: int
-    quotient: int
-    residue: int
+    @property
+    def graceful(self) -> bool:
+        return self.witness is None
 
 
 def _row(marks: Tuple[int, ...], i: int):
@@ -156,9 +141,9 @@ def verify_graceful(ruler: Ruler) -> GracefulnessReport:
         if len(seen) < size:
             break
     else:
-        return GracefulnessReport(graceful=True)
+        return GracefulnessReport()
     del seen  # free the set before the witness search builds its own list
-    return GracefulnessReport(graceful=False, witness=_first_duplicate(marks, i))
+    return GracefulnessReport(_first_duplicate(marks, i))
 
 
 def _first_duplicate(marks: Tuple[int, ...], i: int) -> CollisionSite:
@@ -184,16 +169,6 @@ def _first_duplicate(marks: Tuple[int, ...], i: int) -> CollisionSite:
         ((r, r - index[top - value]) for r, top in enumerate(marks) if top - value in index), 2
     )
     return CollisionSite(first=first, second=second, value=value)
-
-
-def decompose_residue(value: int, modulus: int) -> ResidueForm:
-    """Write value as quotient * modulus + residue, 0 <= residue < modulus."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive, got %d" % modulus)
-    if value < 0:
-        raise ValueError("value must be non-negative, got %d" % value)
-    quotient, residue = divmod(value, modulus)
-    return ResidueForm(value=value, modulus=modulus, quotient=quotient, residue=residue)
 
 
 def lower_bound(n: int) -> int:

@@ -7,7 +7,6 @@ from golomb import (
     build_difference_triangle,
     construct_cubic,
     construct_triangular,
-    decompose_residue,
     lower_bound,
     verify_graceful,
 )
@@ -180,33 +179,6 @@ class TestVerifyGraceful:
         ruler = Ruler(marks)
         if verify_graceful(ruler).graceful:
             assert ruler.length() >= lower_bound(ruler.order)
-
-
-class TestDecomposeResidue:
-    @pytest.mark.parametrize(
-        "value,modulus,quotient,residue",
-        [(17, 5, 3, 2), (0, 7, 0, 0), (14, 7, 2, 0)],
-    )
-    def test_examples(self, value, modulus, quotient, residue):
-        form = decompose_residue(value, modulus)
-        assert (form.quotient, form.residue) == (quotient, residue)
-        assert form.value == form.quotient * form.modulus + form.residue
-
-    def test_zero_modulus(self):
-        with pytest.raises(ValueError):
-            decompose_residue(5, 0)
-
-    def test_negative_value(self):
-        with pytest.raises(ValueError):
-            decompose_residue(-1, 3)
-
-    @given(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(1, 10**6))
-    def test_equal_residues_divide_difference(self, v, w, modulus):
-        a = decompose_residue(v, modulus)
-        b = decompose_residue(w, modulus)
-        assert 0 <= a.residue < modulus
-        if a.residue == b.residue and v != w:
-            assert (v - w) % modulus == 0
 
 
 @given(

@@ -1,9 +1,14 @@
-"""The record types: construction by position and keyword, validation, immutability, equality."""
+"""The record types: construction by position and keyword, validation, immutability, equality.
+
+Also the package's public names, which are mostly these records.
+"""
 
 import re
+import types
 
 import pytest
 
+import golomb
 from golomb import (
     BenchRow,
     CollisionSite,
@@ -11,7 +16,6 @@ from golomb import (
     DifferenceTriangle,
     GracefulnessReport,
     QuadraticFamilyParams,
-    ResidueForm,
     Ruler,
     SearchConfig,
     SearchResult,
@@ -26,8 +30,7 @@ RECORDS = [
     (Ruler, {"marks": (0, 1, 3)}),
     (DifferenceTriangle, {"order": 3, "entries": (1, 3, 2)}),
     (CollisionSite, {"first": (2, 1), "second": (3, 2), "value": 4}),
-    (GracefulnessReport, {"graceful": False, "witness": CollisionSite((2, 1), (3, 2), 4)}),
-    (ResidueForm, {"value": 17, "modulus": 5, "quotient": 3, "residue": 2}),
+    (GracefulnessReport, {"witness": CollisionSite((2, 1), (3, 2), 4)}),
     (TriangularParams, {"order": 6, "modulus": 3}),
     (QuadraticFamilyParams, {"a": 1, "b": 1, "c": 0}),
     (CollisionWitness, {"n": 12, "i1": 11, "j1": 2, "i2": 4, "j2": 4, "value": 40}),
@@ -68,9 +71,16 @@ def test_defaults():
     config = SearchConfig(8)
     assert (config.order, config.time_limit, config.parallelism) == (8, None, 1)
     assert SearchConfig(order=8) == config
-    report = GracefulnessReport(True)
+    report = GracefulnessReport()
     assert (report.graceful, report.witness) == (True, None)
-    assert GracefulnessReport(graceful=True) == report
+    assert GracefulnessReport(witness=None) == report
+    assert not GracefulnessReport(CollisionSite((2, 1), (3, 2), 4)).graceful
+
+
+def test_report_verdict_is_read_from_its_witness():
+    assert GracefulnessReport._fields == ("witness",)
+    with pytest.raises(AttributeError):
+        GracefulnessReport().graceful = False
 
 
 def test_ruler_stores_its_marks_as_a_tuple():
@@ -88,9 +98,6 @@ def test_ruler_stores_its_marks_as_a_tuple():
         (lambda: Ruler((1, 2)), ValueError, "first mark must be 0, got 1"),
         (lambda: Ruler((0, 3, 3)), ValueError, "marks must be strictly increasing"),
         (lambda: Ruler((0, 2**64)), OverflowError, "value %d outside unsigned 64-bit range" % 2**64),
-        (lambda: GracefulnessReport(True, CollisionSite((2, 1), (3, 2), 4)), ValueError,
-         "graceful report cannot carry a witness"),
-        (lambda: GracefulnessReport(False), ValueError, "non-graceful report needs a witness"),
         (lambda: TriangularParams(1, 3), ValueError, "order must be at least 2, got 1"),
         (lambda: TriangularParams(5, 0), ValueError, "modulus must be positive, got 0"),
         (lambda: QuadraticFamilyParams(0, 1, 0), ValueError, "constraint violated: a must be nonzero"),
@@ -115,3 +122,17 @@ def test_bench_row_fields_are_the_csv_header(capsys):
     assert header == BENCH_HEADER
     row = BenchRow(*range(len(BENCH_HEADER)))
     assert [getattr(row, name) for name in header] == list(range(len(BENCH_HEADER)))
+
+
+def test_all_lists_each_public_name_once():
+    names = golomb.__all__
+    assert len(set(names)) == len(names)
+    public = {
+        name
+        for name, value in vars(golomb).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public
+    namespace = {}
+    exec("from golomb import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
