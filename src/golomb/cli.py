@@ -62,10 +62,6 @@ def _parse_duration(text: str) -> float:
     return value * scale
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
-
-
 def _print_fields(fields: dict) -> None:
     """One ``key: value`` line per field; the marks are space-joined."""
     for key, val in fields.items():
@@ -117,7 +113,7 @@ def cmd_construct(args) -> int:
     if bound is not None:
         fields["bound"] = bound(n)
     if args.format == "json":
-        _emit(_report_json(report, {"schema": SCHEMA, **fields}))
+        print(json.dumps(_report_json(report, {"schema": SCHEMA, **fields})))
     else:
         _print_fields(fields)
         _print_report(report)
@@ -176,7 +172,7 @@ def cmd_verify(args) -> int:
             if shift:
                 obj["normalized_shift"] = shift
             objs.append(_report_json(report, obj))
-        _emit(objs[0] if args.file is None else {"schema": SCHEMA, "results": objs})
+        print(json.dumps(objs[0] if args.file is None else {"schema": SCHEMA, "results": objs}))
     else:
         for ruler, shift, report in results:
             fields = {"marks": ruler.marks}
@@ -228,7 +224,7 @@ def cmd_search(args) -> int:
         "nodes": result.nodes_explored,
     }
     if args.format == "json":
-        _emit({"schema": SCHEMA, "n": n, **fields, "elapsed_s": round(result.elapsed, 6)})
+        print(json.dumps({"schema": SCHEMA, "n": n, **fields, "elapsed_s": round(result.elapsed, 6)}))
     else:
         # optimal keeps its place in the copy; elapsed comes last
         optimal = "yes" if result.optimal else "no"
@@ -243,7 +239,7 @@ def cmd_bench(args) -> int:
         raise ValueError("--n-max %d is above the cap of %d" % (args.n_max, BENCH_MAX_ORDER))
     rows = compare_constructions(args.n_max, exact_cutoff=args.exact_cutoff)
     if args.format == "json":
-        _emit({"schema": SCHEMA, "rows": [r._asdict() for r in rows]})
+        print(json.dumps({"schema": SCHEMA, "rows": [r._asdict() for r in rows]}))
         return EXIT_OK
     table = [BenchRow._fields] + [["?" if v is None else str(v) for v in r] for r in rows]
     if args.format == "csv":

@@ -120,10 +120,6 @@ def _tail_tables() -> Tuple[bytes, ...]:
         return (bytes(_KEYS), *iter(lambda: fh.read(_KEYS), b""))
 
 
-class _Stop(Exception):
-    """Unwinds the kernel at the deadline."""
-
-
 class _Search:
     """Branch-and-bound over the rulers of order ``n``, bounded by ``tables[:n-2]``.
 
@@ -131,6 +127,7 @@ class _Search:
     marks 0 and 1 read none.  ``limit`` is the largest length still worth
     finding; a ruler found at length L lowers it to L - 1, so among rulers
     of one length the first found, the lexicographically smallest, is kept.
+    The deadline drops it to -1, so every loop ends at its next bound check.
     """
 
     def __init__(self, n: int, tables: Sequence, limit: int, deadline: Optional[float]):
@@ -159,33 +156,30 @@ class _Search:
         whole limit.
         """
         inner, twice = (self.blocks[2][(forbidden >> 1) & _KEY_MASK], 2) if self.n > 2 else (0, 1)
-        try:
-            self._tick()
-            gap = 1
-            while twice * gap + inner <= self.limit:
-                if not forbidden >> gap & 1:
-                    self._dfs(1, 0, 0, forbidden, forbidden, gap)
-                gap += 1
-        except _Stop:
-            pass
+        self._tick()
+        gap = 1
+        while twice * gap + inner <= self.limit:
+            if not forbidden >> gap & 1:
+                self._dfs(1, 0, 0, forbidden, forbidden, gap)
+            gap += 1
         return self
 
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.timed_out = True
-            raise _Stop
+            self.limit = -1
 
     def _dfs(self, d: int, pos: int, lst: int, dist: int, comp: int, gap: int) -> None:
         """Place mark d at ``gap`` beyond ``pos``, then every admissible mark d + 1."""
         self.nodes += 1
-        if not self.nodes & _TIME_CHECK_MASK:
-            self._tick()
         pos += gap
         lst = (lst | 1) << gap
         last = self.n - 1
         if d == last:
             self._record(pos, lst)
             return
+        if not self.nodes & _TIME_CHECK_MASK:  # below the record, which would raise the limit again
+            self._tick()
         dist |= lst
         comp = (comp >> gap) | dist
         d += 1
@@ -216,15 +210,14 @@ def _search_orders(
     ``orders`` appends: once order k is proved, G(k) = T_{k-1}({}) goes in as
     table k-1, the same for every key, if that is the next table.  Order k
     runs under the length of its record inclusive, so a finished search has
-    found a ruler and leaves limit + 1 == G(k).  The loop stops after a
-    search that times out.
+    found a ruler and leaves limit + 1 == G(k).  Once the deadline has
+    passed, each later order stops at its first check with 0 nodes; a
+    stopped order leaves limit + 1 == 0, a bound that holds but prunes nothing.
     """
     searches = []
     for k in orders:
         search = _Search(k, tables, _RECORDS[k][-1], deadline).run()
         searches.append(search)
-        if search.timed_out:
-            break
         if k == len(tables) + 1:
             tables.append(bytes([search.limit + 1]) * _KEYS)
     return searches
@@ -239,8 +232,8 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     pass.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
-    expires, at order n or a smaller one, the best incumbent so far is
-    returned with optimal=False: order n's last ruler, else the one it starts from.
+    expires, at order n or a smaller one, the result has optimal=False and
+    the last ruler order n found, else the record it starts from.
     """
     n = config.order
     start = time.monotonic()
@@ -249,7 +242,7 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     tables = list(_tail_tables())
     searches = _search_orders([*range(len(tables) + 1, n - 1), n], tables, deadline)
     last = searches[-1]
-    best = (last.n == n and last.best) or _RECORDS[n]
+    best = last.best or _RECORDS[n]
     return SearchResult(
         ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
         nodes_explored=sum(search.nodes for search in searches),

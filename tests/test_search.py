@@ -14,7 +14,7 @@ from golomb import (
     search_optimal,
     verify_graceful,
 )
-from golomb import tails
+from golomb import search, tails
 from golomb.search import _RECORDS, _Search, _tail_tables
 
 
@@ -203,6 +203,55 @@ class TestSearchOptimal:
         assert par.optimal
         assert par.length == seq.length
         assert par.ruler.marks == seq.ruler.marks
+
+
+class FakeClock:
+    """A stand-in for ``time`` whose clock passes a 1 s deadline after ``readings`` readings."""
+
+    def __init__(self, readings):
+        self.readings = readings
+
+    def monotonic(self):
+        self.readings -= 1
+        return 0.0 if self.readings >= 0 else 2.0
+
+
+class TestStopAtTheDeadline:
+    """Stopped searches that do not depend on the host's speed.
+
+    ``search_optimal`` reads the clock once at the start, ``run`` once per
+    order and ``_dfs`` once every 4096 nodes, so the reading that passes the
+    deadline fixes where the search stops.
+    """
+
+    @pytest.mark.parametrize(
+        "n, readings, nodes",
+        [
+            (10, 3, 8_192),  # order 10, at its second node check
+            (11, 4, 5_455 + 4_096),  # order 11, after order 9 has finished
+            (12, 2, 4_096),  # inside order 9
+        ],
+    )
+    def test_stopped_search(self, monkeypatch, n, readings, nodes):
+        monkeypatch.setattr(search, "time", FakeClock(readings))
+        result = search_optimal(SearchConfig(order=n, time_limit=1.0))
+        assert not result.optimal
+        assert result.nodes_explored == nodes
+        assert result.ruler.marks == _RECORDS[n]
+
+    def test_orders_after_the_deadline_stop_at_once(self, monkeypatch):
+        searched = []
+        run = _Search.run
+
+        def counting_run(self):
+            run(self)
+            searched.append((self.n, self.nodes, self.timed_out))
+            return self
+
+        monkeypatch.setattr(search, "time", FakeClock(2))
+        monkeypatch.setattr(_Search, "run", counting_run)
+        search_optimal(SearchConfig(order=12, time_limit=1.0))
+        assert searched == [(9, 4_096, True), (10, 0, True), (12, 0, True)]
 
 
 class TestRecords:
