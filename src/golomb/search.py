@@ -26,11 +26,8 @@ starts with T_0 = 0 and the tables of ``tails.bin``, exact for k = 1..7 and
 every F.  ``golomb.tails`` builds them with this kernel: T_k(F) is the span
 of the shortest ruler that an order-(k+1) search finds when it starts with F
 in ``dist``, bounded by the tables of smaller k.  Since G(k) = T_{k-1}({}),
-the list settles G(1..8), read as ``tables[k-1][0]``.  G(k) for k > 8 comes
-from one pass through the larger orders, smallest first, with the same
-kernel; each order k it proves appends G(k) for every F as table k-1.
-Order n reads only tables[:n-2], G(k) for k <= n-2 (see ``_Search.run``), so
-proving G(n) searches only the orders 9..n-2 first and skips G(n-1).
+the list settles G(1..8), read as ``tables[k-1][0]``; ``_proved_tables``
+extends it past the file.
 
 Each order's search starts at the length of its published optimum in
 ``_RECORDS``, inclusive: it re-finds the lex-min ruler of that length and
@@ -201,35 +198,35 @@ class _Search:
         self.limit = span - 1
 
 
-def _search_orders(
-    orders: Sequence[int], tables: list, deadline: Optional[float]
-) -> List[_Search]:
-    """Search the given orders in turn, each bounded by ``tables``.
+def _proved_tables(top: int, deadline: Optional[float]) -> Tuple[list, int]:
+    """The tail tables with G(k) appended for every order k up to ``top``, and the nodes spent.
 
-    Order k reads T_0..T_{k-3}, which the file gives or an earlier order in
-    ``orders`` appends: once order k is proved, G(k) = T_{k-1}({}) goes in as
-    table k-1, the same for every key, if that is the next table.  Order k
-    runs under the length of its record inclusive, so a finished search has
-    found a ruler and leaves limit + 1 == G(k).  Once the deadline has
-    passed, each later order stops at its first check with 0 nodes; a
-    stopped order leaves limit + 1 == 0, a bound that holds but prunes nothing.
+    The list starts with T_0 and the file's tables, so it settles
+    G(1..len(tables)).  Each order k from len(tables) + 1 to ``top``,
+    smallest first, is searched with the same kernel from its record
+    inclusive, so a finished search has found a ruler and leaves
+    limit + 1 == G(k) = T_{k-1}({}); that goes in as table k-1, the same for
+    every key, and bounds the orders above it.  Order n reads only
+    T_0..T_{n-3}, G(k) for k <= n-2 (see ``_Search.run``), so proving G(n)
+    takes this pass up to n - 2 and never proves G(n-1).  Once the deadline
+    has passed, each later order stops at its first check with 0 nodes; a
+    stopped order leaves limit + 1 == 0, a bound that holds but prunes
+    nothing.
     """
-    searches = []
-    for k in orders:
+    tables = list(_tail_tables())
+    nodes = 0
+    for k in range(len(tables) + 1, top + 1):
         search = _Search(k, tables, _RECORDS[k][-1], deadline).run()
-        searches.append(search)
-        if k == len(tables) + 1:
-            tables.append(bytes([search.limit + 1]) * _KEYS)
-    return searches
+        nodes += search.nodes
+        tables.append(bytes([search.limit + 1]) * _KEYS)
+    return tables, nodes
 
 
 def search_optimal(config: SearchConfig) -> SearchResult:
     """Find the shortest ruler of the given order, with an optimality proof.
 
-    Order n reads G(2..n-2).  The tail table gives G(2..8); one pass
-    through the orders proves the rest with the same kernel, then runs
-    branch-and-bound at order n from its record; nodes are summed over the
-    pass.
+    Order n reads G(2..n-2), which ``_proved_tables`` gives, then runs
+    branch-and-bound from its record; nodes are summed over both.
     If it completes, the result is optimal and the ruler is the
     lexicographically smallest among co-minimal ones; if the time limit
     expires, at order n or a smaller one, the result has optimal=False and
@@ -239,13 +236,12 @@ def search_optimal(config: SearchConfig) -> SearchResult:
     start = time.monotonic()
     deadline = start + config.time_limit if config.time_limit is not None else None
 
-    tables = list(_tail_tables())
-    searches = _search_orders([*range(len(tables) + 1, n - 1), n], tables, deadline)
-    last = searches[-1]
-    best = last.best or _RECORDS[n]
+    tables, nodes = _proved_tables(n - 2, deadline)
+    search = _Search(n, tables, _RECORDS[n][-1], deadline).run()
+    best = search.best or _RECORDS[n]
     return SearchResult(
-        ruler=Ruler(best), length=best[-1], optimal=not last.timed_out,
-        nodes_explored=sum(search.nodes for search in searches),
+        ruler=Ruler(best), length=best[-1], optimal=not search.timed_out,
+        nodes_explored=nodes + search.nodes,
         elapsed=time.monotonic() - start,
     )
 
@@ -269,16 +265,14 @@ def compare_constructions(n_max: int, exact_cutoff: int = 9) -> List[BenchRow]:
     """Tabulate construction lengths against C(n,2) and the exact optimum.
 
     The optimum column is filled for n up to exact_cutoff and left unknown
-    (None) beyond it.  The tail table gives G(2..8); one pass of exact
-    search through the orders above 8 proves each of them once.
+    (None) beyond it, and read as G(n) from ``_proved_tables``.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2, got %d" % n_max)
     top = min(n_max, exact_cutoff)
     if top > SEARCH_MAX_ORDER:
         raise ValueError("exact search is limited to orders up to %d" % SEARCH_MAX_ORDER)
-    tables = list(_tail_tables())
-    _search_orders(range(len(tables) + 1, top + 1), tables, None)
+    tables, _ = _proved_tables(top, None)
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

@@ -9,22 +9,19 @@ The search reads how far k goes from the file's length, and G(k+1) as
 T_k({}), the first byte of each block.
 
 Each entry of every block k = 1..7 is exact, and each is one search that
-reads only the blocks of smaller k, from T_0 = 0 on.  A k-mark ruler that
-avoids F and spans T_{k-1}(F) gives a (k+1)-mark one of span
-T_{k-1}(F) + max(T_{k-1}(F), 16) + 1: every difference the new mark adds
-exceeds both 16 and the old span, so none is in F or repeats one.  From
-that feasible length the search kernel, ``golomb.search._Search``, runs the
-order-(k+1) search with F taken as differences already used and the marks
-still to come bounded by the tables of smaller k.  Each ruler it finds
-lowers its limit until no shorter one exists, so the last ruler found spans
-T_k(F).
+reads only the blocks of smaller k, from T_0 = 0 on.  The search kernel,
+``golomb.search._Search``, runs the order-(k+1) search with F taken as
+differences already used and the marks still to come bounded by the tables
+of smaller k.  It starts at 255, the largest value a byte holds, and each
+ruler it finds lowers its limit until no shorter one exists, so the last
+ruler found spans T_k(F).
 
 This is a maintenance tool, not part of the library's interface::
 
     python -m golomb.tails          # rewrite tails.bin
     python -m golomb.tails --check  # rebuild and compare byte for byte
 
-A build takes 26-50 s of CPU on one core (2-core shared host, Python 3.11.7),
+A build takes 27-40 s of CPU on one core (2-core shared host, Python 3.11.7),
 nearly all of it in the k = 6 and 7 blocks.
 """
 
@@ -33,16 +30,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .search import _KEY_BITS, _KEYS, _TABLE_PATH, _Search
+from .search import _KEYS, _TABLE_PATH, _Search
 
 K_MAX = 7
 
 
 def _shortest(k: int, key: int, tables) -> int:
     """T_k(key), given ``tables`` holding T_0..T_{k-1}."""
-    inner = tables[k - 1][key]  # T_{k-1}(F): one mark far beyond it gives a feasible length
-    limit = inner + max(inner, _KEY_BITS) + 1
-    return _Search(k + 1, tables, limit, None).run(key << 1).best[-1]
+    return _Search(k + 1, tables, 255, None).run(key << 1).best[-1]
 
 
 def build() -> bytes:
