@@ -195,15 +195,14 @@ class TestSearchOptimal:
         assert search_optimal(SearchConfig(order=n)).optimal
         assert searched == orders
 
-    def test_parallelism_changes_no_result(self):
+    @pytest.mark.parametrize("jobs", [2, 4, 8])
+    def test_parallel_matches_sequential(self, jobs):
         # parallelism is accepted and validated but selects nothing, so every
         # value runs the same search, node for node
-        results = [
-            search_optimal(SearchConfig(order=7, parallelism=jobs))._replace(elapsed=0.0)
-            for jobs in (1, 2, 8)
-        ]
-        assert results[0].optimal
-        assert results == [results[0]] * 3
+        seq = search_optimal(SearchConfig(order=7))._replace(elapsed=0.0)
+        par = search_optimal(SearchConfig(order=7, parallelism=jobs))._replace(elapsed=0.0)
+        assert par.optimal
+        assert par == seq
 
 
 class FakeClock:
